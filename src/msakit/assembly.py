@@ -25,15 +25,21 @@ from .equations import EquationBlock
 from .errors import ModelError
 from .model import JunctionSpec, Model, PlatformSpec
 
-# LU pivot ratio below which the rank-revealing fallback takes over.
+# LU pivot ratio below which a block counts as singular and is bordered; also
+# the null-space cutoff of the border block (rows are equilibrated to 1).
 PIVOT_RTOL = 1e-10
-# Singular-value cutoff (relative) for rank audits.
-RANK_RTOL = 1e-10
+# Diagonal shift that locates the singular rows and columns of a block whose
+# LU met an exactly zero pivot; far below PIVOT_RTOL.
+PIVOT_SHIFT = 1e-13
+# Seed of the random right-hand sides and borders of the bordered solve.
+BORDER_SEED = 0
+# Share of a mechanism below which a node is not named as taking part in it.
+MECHANISM_SHARE = 1e-6
 # Relative tolerance for the Cartesian stiffness symmetry gate.
 KC_SYM_RTOL = 1e-8
 # Relative singular-value cutoff when classifying Kc mechanisms.
 KC_RANK_RTOL = 1e-9
-# Relative residual accepted from a solve.
+# Normwise backward error accepted from a solve.
 RESIDUAL_RTOL = 1e-9
 
 
@@ -334,68 +340,129 @@ class CartesianStiffness:
     diagnostics: SolverDiagnostics
 
 
+def _lu(M: scipy.sparse.csc_matrix) -> tuple:
+    """splu of M and its number of pivots below PIVOT_RTOL; (None, 0) when
+    SuperLU breaks down on an exactly zero pivot."""
+    try:
+        lu = scipy.sparse.linalg.splu(M)
+    except RuntimeError:
+        return None, 0
+    u = np.abs(lu.U.diagonal())
+    return lu, int(np.sum(~(u > PIVOT_RTOL * u.max(initial=0.0))))
+
+
+def _peaks(Y: np.ndarray) -> np.ndarray:
+    """Indices of the rows of Y that a column-pivoted QR of Y^T picks first:
+    where the directions spanned by Y's columns are largest and distinct."""
+    _, order = scipy.linalg.qr(Y.T, mode="r", pivoting=True, check_finite=False)
+    return order[:Y.shape[1]]
+
+
 class _Factorization:
-    """Row-equilibrated LU with a rank-revealing fallback, shared by the
-    stiffness and solve paths. Row scaling never changes solutions."""
+    """Row-equilibrated sparse LU of a square block, shared by the stiffness,
+    solve and audit paths. Row scaling never changes solutions.
+
+    A block whose LU breaks down or leaves k pivots below PIVOT_RTOL is
+    bordered instead (Keller's bordering; T. F. Chan, SIAM J. Numer. Anal.
+    21, 1984): M = [A U; V^T 0]. One solve of k random right-hand sides
+    through the tiny pivots is a step of inverse iteration towards the null
+    vectors of A and A^T; unit borders go where those peak, so M keeps A's
+    sparsity. Should M still not factor cleanly, random dense borders take
+    their place, k growing until it does. The trailing k x k block T of M^-1
+    is singular exactly where A is, and its null vectors map to orthonormal
+    bases of null(A) and null(A^T). Solves then return the minimum-norm
+    least-squares solution from the same LU.
+    """
 
     def __init__(self, A: scipy.sparse.spmatrix):
+        A = A.tocsc()
         self.n = A.shape[0]
-        self.pseudo_inverse = False
-        self.rank = self.n
-        self.condition_estimate = np.inf
-        self._lu = None
-        self._dense = None
-        A_csc = A.tocsc()
-        row_max = np.abs(A_csc).max(axis=1).toarray().ravel() if self.n else np.array([])
+        row_max = abs(A).max(axis=1).toarray().ravel()
         row_max[row_max == 0.0] = 1.0
         self._row_scale = 1.0 / row_max
-        A_eq = (scipy.sparse.diags(self._row_scale) @ A_csc).tocsc()
-        try:
-            lu = scipy.sparse.linalg.splu(A_eq)
-            u = np.abs(lu.U.diagonal())
-            u_max = float(np.max(u)) if u.size else 0.0
-            if u_max > 0.0 and float(np.min(u)) > PIVOT_RTOL * u_max:
-                self._lu = lu
-                self._A = A_eq
-                self.condition_estimate = u_max / float(np.min(u))
-                return
-        except RuntimeError:
-            pass
-        # Rank-revealing path: complete orthogonal decomposition on dense data.
-        self.pseudo_inverse = True
-        self._dense = A_eq.toarray()
-        s = scipy.linalg.svdvals(self._dense) if self.n else np.array([])
-        s_max = float(s[0]) if s.size else 0.0
-        kept = s[s > PIVOT_RTOL * s_max] if s_max > 0.0 else s
-        self.rank = int(kept.size)
-        self.condition_estimate = (s_max / float(kept[-1])) if kept.size else np.inf
+        self._A = self._M = (scipy.sparse.diags(self._row_scale) @ A).tocsc()
+        self._lu, tiny = _lu(self._A)
+        self.pseudo_inverse = self._lu is None or tiny > 0
+        self.null_right = self.null_left = np.zeros((self.n, 0))
+        if self.pseudo_inverse:
+            self._border(tiny)
+        self.rank = self.n - self.null_right.shape[1]
+        u = np.abs(self._lu.U.diagonal())
+        self.condition_estimate = float(u.max() / u.min())
+
+    def _border(self, k: int) -> None:
+        A, n, lu = self._A, self.n, self._lu
+        if lu is None:   # an exactly zero pivot: a tiny shift exposes it
+            lu, k = _lu((A + PIVOT_SHIFT * scipy.sparse.eye(n, format="csc")).tocsc())
+        k = max(k, 1)
+        rng = np.random.default_rng(BORDER_SEED)
+        at_peaks = lu is not None
+        while True:
+            if at_peaks:
+                R = rng.standard_normal((n, k))
+                U, V = (scipy.sparse.csc_matrix((np.ones(k), (_peaks(Y), np.arange(k))),
+                                                shape=(n, k))
+                        for Y in (lu.solve(R, trans="T"), lu.solve(R)))
+            else:
+                U, V = (scipy.sparse.csc_matrix(np.linalg.qr(rng.standard_normal((n, k)))[0])
+                        for _ in range(2))
+            M = scipy.sparse.bmat([[A, U], [V.T, None]], format="csc")
+            lu, tiny = _lu(M)
+            if lu is not None and tiny == 0:
+                break
+            if not at_peaks:
+                if k == n:
+                    raise ModelError("the bordered LU of a singular block did not factor")
+                k = min(n, k + max(tiny, 1))
+            at_peaks = False
+        self._lu, self._M = lu, M
+        E = np.zeros((n + k, k))
+        E[n:] = np.eye(k)
+        X, Y = self._refined(E), self._refined(E, trans="T")
+        W, s, Zt = np.linalg.svd(X[n:])
+        null = s <= PIVOT_RTOL
+        self._Q = X[:n]
+        self._T_pinv = (Zt[~null].T / s[~null]) @ W[:, ~null].T
+        if null.any():
+            self.null_right = np.linalg.qr(X[:n] @ Zt[null].T)[0]
+            self.null_left = np.linalg.qr(Y[:n] @ W[:, null])[0]
+
+    def _refined(self, R: np.ndarray, trans: str = "N") -> np.ndarray:
+        """LU solve with the factored matrix (or its transpose), plus one
+        step of iterative refinement."""
+        M = self._M if trans == "N" else self._M.T
+        X = self._lu.solve(R, trans=trans)
+        return X + self._lu.solve(R - M @ X, trans=trans)
 
     def _scale_rhs(self, B: np.ndarray) -> np.ndarray:
         return B * (self._row_scale[:, None] if B.ndim == 2 else self._row_scale)
 
-    def solve(self, B: np.ndarray) -> tuple:
-        """Solve A X = B; returns (X, per-column residual of the dense path)."""
+    def outside_range(self, B: np.ndarray) -> np.ndarray:
+        """L^T B over the row-equilibrated block: the part of B that no
+        solution reaches (empty when the block is nonsingular)."""
+        return self.null_left.T @ self._scale_rhs(B)
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares solution of A X = B."""
         Bs = self._scale_rhs(B)
-        if self._lu is not None:
-            X = self._lu.solve(Bs)
-            X = X + self._lu.solve(Bs - self._A @ X)  # one refinement step
-            return X, np.zeros(B.shape[1] if B.ndim == 2 else 1)
-        X, _, _, _ = scipy.linalg.lstsq(self._dense, Bs, cond=PIVOT_RTOL,
-                                        lapack_driver="gelsy")
-        R = self._dense @ X - Bs
-        if R.ndim == 1:
-            res = np.array([np.linalg.norm(R)])
-        else:
-            res = np.linalg.norm(R, axis=0)
-        return X, res
+        if not self.pseudo_inverse:
+            return self._refined(Bs)
+        L, N, n = self.null_left, self.null_right, self.n
+        Bs = Bs - L @ (L.T @ Bs)
+        pad = np.zeros((self._M.shape[0] - n,) + Bs.shape[1:])
+        Y = self._refined(np.concatenate([Bs, pad]))
+        # Borders beyond the nullity leave a component of the range on U;
+        # the non-null part of T takes it back.
+        X = Y[:n] - self._Q @ (self._T_pinv @ Y[n:])
+        return X - N @ (N.T @ X)
 
 
 def cartesian_stiffness(system: GlobalSystem,
                         end_node: Hashable | None = None) -> CartesianStiffness:
     """End-point stiffness by eliminating all internal unknowns.
 
-    Uses sparse LU on the internal block; if that block is singular the
-    rank-revealing pseudo-inverse takes over and the diagnostics say so.
+    Uses sparse LU on the internal block; if that block is singular a
+    bordered LU gives its pseudo-inverse and the diagnostics say so.
     Directions in which the end node is rigidly tied to ground come back as
     an infinite-stiffness sentinel rather than numeric overflow.
     """
@@ -417,8 +484,7 @@ def cartesian_stiffness(system: GlobalSystem,
     D = M[end_rows][:, end_cols].toarray()
 
     fac = _Factorization(A)
-    X, _ = fac.solve(B)
-    kc = kappa * (D - C @ X)
+    kc = kappa * (D - C @ fac.solve(B))
 
     diag = SolverDiagnostics(
         a_size=fac.n,
@@ -427,12 +493,12 @@ def cartesian_stiffness(system: GlobalSystem,
         condition_estimate=fac.condition_estimate,
     )
 
-    if fac.pseudo_inverse:
-        Bs = fac._scale_rhs(B)
-        lock_scale = max(float(np.max(np.abs(Bs))), 1e-300)
-        R = fac._dense @ X - Bs
-        _, s, vt = np.linalg.svd(R)
-        locked = vt[s > 1e-8 * lock_scale * np.sqrt(fac.n)]
+    if fac.rank < fac.n:
+        # End-point motions whose forcing lies outside range(A) are held by
+        # rigid constraints: those directions are locked.
+        lock_scale = max(float(np.max(np.abs(fac._scale_rhs(B)))), 1e-300)
+        _, s, vt = np.linalg.svd(fac.outside_range(B), full_matrices=False)
+        locked = vt[s > 1e-8 * lock_scale]
         if locked.shape[0] == 6:
             diag.infinite = True
             diag.locked = True
@@ -515,8 +581,9 @@ def solve_loaded(system: GlobalSystem, loads=None) -> State:
     """Solve the assembled system under the given external wrenches.
 
     `loads` may be a single wrench (applied at the end effector) or a mapping
-    from load-point nodes to wrenches; every emitted equation row is satisfied
-    by the returned state to the documented residual tolerance.
+    from load-point nodes to wrenches; the returned state's normwise backward
+    error, ||Mx - b|| / (||M|| ||x|| + ||b||) in the infinity norm, is at most
+    RESIDUAL_RTOL and is reported as `residual`.
     """
     rows, cols = system.shape
     if rows != cols:
@@ -526,28 +593,32 @@ def solve_loaded(system: GlobalSystem, loads=None) -> State:
     for node, w in applied.items():
         b[system.load_rows[node]] += w
 
-    M = system._scaled_matrix()
-    fac = _Factorization(M)
-    y, _ = fac.solve(b)
+    fac = _Factorization(system._scaled_matrix())
+    if fac.rank < fac.n:
+        outside = float(np.max(np.abs(fac.outside_range(b))))
+        scale = max(float(np.max(np.abs(fac._scale_rhs(b)))), 1e-300)
+        if outside > 1e-6 * scale:
+            raise ModelError(
+                "load is not resisted by the structure (unresisted direction: "
+                f"{outside / scale:.3e} of the load lies outside the system's range)")
+    x = fac.solve(b)
     n = 6 * system.n_nodes
-    x = y.copy()
     x[n:] /= system.stiff_scale
 
-    r = system.matrix @ x - b
-    scale = max(float(np.max(np.abs(b))) if b.size else 0.0,
-                float(np.max(np.abs(system.matrix @ x))) if x.size else 0.0,
-                1e-300)
-    residual = float(np.max(np.abs(r))) / scale
-    if fac.pseudo_inverse and residual > 1e-6:
-        bad = r[np.abs(r) > 0.5 * np.max(np.abs(r))]
-        raise ModelError(
-            "load is not resisted by the structure (unresisted direction, "
-            f"residual {residual:.3e} over {bad.size} equations)")
+    # Normwise backward error (Rigal-Gaches): the smallest relative change to
+    # M and b that x solves exactly, so the gate does not grow with the size
+    # of the stiffness terms or of the model.
+    M = system.matrix
+    r = float(np.max(np.abs(M @ x - b)))
+    m_norm = float(abs(M).sum(axis=1).max())
+    denom = m_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))
+    residual = r / denom if denom > 0.0 else 0.0
     if residual > RESIDUAL_RTOL:
-        raise ModelError(f"solve residual {residual:.3e} exceeds tolerance")
+        raise ModelError(f"solve backward error {residual:.3e} exceeds tolerance")
 
-    deflections = {node: x[system.deflection_cols(node)].copy() for node in system.nodes}
-    wrenches = {node: x[system.wrench_cols(node)].copy() for node in system.nodes}
+    # One small array per node: a kept node result must not hold all of x.
+    deflections = {node: t.copy() for node, t in zip(system.nodes, x[n:].reshape(-1, 6))}
+    wrenches = {node: w.copy() for node, w in zip(system.nodes, x[:n].reshape(-1, 6))}
     return State(system=system, deflections=deflections, wrenches=wrenches,
                  applied_loads=applied, residual=residual)
 
@@ -567,6 +638,7 @@ class ModelReport:
     redundant: int
     dangling: list
     connectivity: dict
+    mechanism_nodes: list            # nodes that move in a mechanism of the held structure
 
     @property
     def well_posed(self) -> bool:
@@ -577,21 +649,21 @@ class ModelReport:
                 f"{self.mechanisms} mechanisms, {self.redundant} redundant constraints")
 
 
-def _equilibrated_dense(system: GlobalSystem) -> np.ndarray:
-    """Dense copy with deflection columns rescaled and rows normalized, so
-    singular-value rank cuts are meaningful across mixed units."""
-    M = system._scaled_matrix().toarray()
-    row_norm = np.max(np.abs(M), axis=1)
-    row_norm[row_norm == 0.0] = 1.0
-    return M / row_norm[:, None]
+def _square(M: scipy.sparse.spmatrix) -> scipy.sparse.csc_matrix:
+    """M padded to square with zero rows or columns; the rank is unchanged."""
+    size = max(M.shape)
+    M = M.tocoo()
+    return scipy.sparse.csc_matrix((M.data, (M.row, M.col)), shape=(size, size))
 
 
-def _svd_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    if M.size == 0:
-        return 0
-    s = scipy.linalg.svdvals(M)
-    s_max = float(s[0]) if s.size else 0.0
-    return int(np.sum(s > rtol * s_max)) if s_max > 0.0 else 0
+def _mechanism_nodes(system: GlobalSystem, null: np.ndarray, cols: np.ndarray) -> list:
+    """Nodes whose deflection columns carry more than MECHANISM_SHARE of the
+    null space spanned by the orthonormal rows `null` over columns `cols`.
+    The diagonal of N N^T, and so the result, does not depend on the basis."""
+    weight = np.zeros(system.shape[1])
+    weight[cols] = np.sum(null ** 2, axis=1)
+    floor = MECHANISM_SHARE * null.shape[1]
+    return [node for node in system.nodes if weight[system.deflection_cols(node)].sum() > floor]
 
 
 def check_model(model: Model) -> ModelReport:
@@ -599,7 +671,9 @@ def check_model(model: Model) -> ModelReport:
 
     Mechanisms count the zero-energy freedoms left when the end effector is
     held (nullity of the internal block); for models with no end effector
-    they are the nullity of the whole matrix.
+    they are the nullity of the whole matrix. Non-square systems are padded
+    to square with zero rows or columns, so one factorization route serves
+    every model.
     """
     blocks = _emit_blocks(model)
     nodes = list(model.positions.keys())
@@ -620,20 +694,22 @@ def check_model(model: Model) -> ModelReport:
 
     rank = 0
     mechanisms = unknowns
+    mechanism_nodes: list = []
     if blocks and unknowns:
         system = _build_system(model, blocks)
-        dense = _equilibrated_dense(system)
-        rank = _svd_rank(dense)
+        M = system._scaled_matrix()
+        full = _Factorization(_square(M))
+        rank = full.rank
         end = system.end_effector
         if end is not None and end in system.load_rows:
-            end_rows = system.load_rows[end]
-            keep_rows = np.setdiff1d(np.arange(rows), end_rows)
+            keep_rows = np.setdiff1d(np.arange(rows), system.load_rows[end])
             keep_cols = np.setdiff1d(np.arange(unknowns),
                                      np.arange(unknowns)[system.deflection_cols(end)])
-            A = dense[np.ix_(keep_rows, keep_cols)]
-            mechanisms = A.shape[1] - _svd_rank(A)
+            held = _Factorization(_square(M[keep_rows][:, keep_cols]))
         else:
-            mechanisms = unknowns - rank
+            keep_cols, held = np.arange(unknowns), full
+        mechanisms = keep_cols.size - held.rank
+        mechanism_nodes = _mechanism_nodes(system, held.null_right[:keep_cols.size], keep_cols)
     return ModelReport(
         nodes=len(nodes),
         unknowns=unknowns,
@@ -646,4 +722,5 @@ def check_model(model: Model) -> ModelReport:
         redundant=rows - rank,
         dangling=dangling,
         connectivity=connectivity,
+        mechanism_nodes=mechanism_nodes,
     )

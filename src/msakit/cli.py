@@ -105,6 +105,8 @@ def _cmd_check(args) -> int:
     except (ModelError, ValueError) as exc:
         return _error({"error": "model", "detail": str(exc)})
     print(report.summary())
+    if report.mechanism_nodes:
+        print(f"  mechanism nodes: {', '.join(map(str, report.mechanism_nodes))}")
     for source, rows in report.rows_by_source.items():
         print(f"  {source}: {rows} rows")
     print(f"  row classes: {report.rows_by_kind}")
@@ -196,6 +198,12 @@ def main(argv=None) -> int:
     p_nav.add_argument("--out", help="output directory (default: cwd)")
     p_nav.set_defaults(func=_cmd_navaro)
 
+    # argparse takes a value starting with '-' for an option, so a load whose
+    # first component is negative must reach it as --load=<value>.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--load":
+            argv[k - 1:k + 1] = [f"--load={argv[k]}"]
     args = parser.parse_args(argv)
     return args.func(args)
 

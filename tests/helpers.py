@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 import msakit
 
@@ -37,8 +38,11 @@ def random_section(rng) -> dict:
     }
 
 
-def random_chain(rng, n_links: int) -> msakit.Model:
-    """Serial chain of beams with rigid inter-link joints and a clamped base."""
+def random_chain(rng, n_links: int, joint_stiffness: float | None = None) -> msakit.Model:
+    """Serial chain of beams with a clamped base. Inter-link joints are rigid,
+    or, given a joint stiffness, elastic revolute joints about a random
+    global axis."""
+    presets = [msakit.joint_basis_preset(f"revolute_{axis}") for axis in "xyz"]
     m = msakit.Model()
     p = np.zeros(3)
     prev_far = None
@@ -49,8 +53,11 @@ def random_chain(rng, n_links: int) -> msakit.Model:
         m.add_node(f"a{k}", p)
         m.add_node(f"b{k}", q)
         m.add_beam(f"a{k}", f"b{k}", **random_section(rng))
-        if prev_far is not None:
+        if prev_far is not None and joint_stiffness is None:
             m.add_joint("rigid", (prev_far, f"a{k}"))
+        elif prev_far is not None:
+            m.add_joint("elastic", (prev_far, f"a{k}"), basis=presets[rng.integers(3)],
+                        stiffness=[[joint_stiffness]])
         prev_far = f"b{k}"
         p = q
     m.add_support("a0", "rigid")
@@ -69,3 +76,54 @@ def block_residual(block, values: dict) -> np.ndarray:
 
 def rel_fro(a, b) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+# ---------------------------------------------------------------------------
+# Dense SVD oracle for singular models: a rank-revealing dense route, the
+# reference for the library's sparse bordered solve.
+# ---------------------------------------------------------------------------
+
+ORACLE_RTOL = 1e-10
+
+
+def _row_scale(M: np.ndarray) -> np.ndarray:
+    """Factors that scale every row of M to a largest entry of one."""
+    norm = np.max(np.abs(M), axis=1)
+    norm[norm == 0.0] = 1.0
+    return 1.0 / norm[:, None]
+
+
+def _svd_rank(M: np.ndarray) -> int:
+    s = scipy.linalg.svdvals(M * _row_scale(M))
+    return int(np.sum(s > ORACLE_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
+
+
+def dense_audit(model) -> dict:
+    """Ranks, mechanisms, locked directions and Kc of a model by dense SVD
+    and complete orthogonal decomposition (`gelsy`) of the scaled,
+    row-equilibrated system."""
+    from msakit import assembly
+
+    system = assembly._build_system(model, assembly._emit_blocks(model))
+    M = system._scaled_matrix().toarray()
+    rows, cols = M.shape
+    end_rows = system.load_rows[system.end_effector]
+    end_cols = np.arange(cols)[system.deflection_cols(system.end_effector)]
+    keep_rows = np.setdiff1d(np.arange(rows), end_rows)
+    keep_cols = np.setdiff1d(np.arange(cols), end_cols)
+    A = M[np.ix_(keep_rows, keep_cols)]
+    rank, a_rank = _svd_rank(M), _svd_rank(A)
+    out = {"rank": rank, "redundant": rows - rank, "a_rank": a_rank,
+           "mechanisms": A.shape[1] - a_rank}
+    if rows != cols:
+        return out
+    scale = _row_scale(A)
+    A, B = A * scale, M[np.ix_(keep_rows, end_cols)] * scale
+    X = scipy.linalg.lstsq(A, B, cond=ORACLE_RTOL, lapack_driver="gelsy")[0]
+    _, s, vt = np.linalg.svd(A @ X - B)
+    locked = vt[s > 1e-8 * max(float(np.max(np.abs(B))), 1e-300) * np.sqrt(A.shape[0])]
+    out["locked"] = locked.shape[0]
+    out["infinite"] = locked.shape[0] == 6
+    C, D = M[np.ix_(end_rows, keep_cols)], M[np.ix_(end_rows, end_cols)]
+    out["kc"] = system.stiff_scale * (D - C @ X)
+    return out

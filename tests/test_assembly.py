@@ -5,9 +5,98 @@ import pytest
 import msakit
 from msakit.core import block_rotation
 
-from helpers import cantilever, random_chain, rel_fro, section_kwargs
+from helpers import cantilever, dense_audit, random_chain, rel_fro, section_kwargs
 
 RZ = msakit.joint_basis_preset("revolute_z")
+
+
+def duplicated_joint():
+    """Two beams joined twice at one point: twelve surplus rows."""
+    m = msakit.Model()
+    m.add_node("a", [0, 0, 0])
+    m.add_node("b", [0.5, 0, 0])
+    m.add_node("c", [0.5, 0, 0])
+    m.add_node("d", [1.0, 0, 0])
+    m.add_beam("a", "b", **section_kwargs())
+    m.add_beam("c", "d", **section_kwargs())
+    m.add_joint("rigid", ("b", "c"))
+    m.add_joint("rigid", ("b", "c"))
+    m.add_support("a", "rigid")
+    m.set_end_effector("d")
+    return m
+
+
+def locked_end():
+    """A rigid link from a clamp to the end effector."""
+    m = msakit.Model()
+    m.add_node("a", [0, 0, 0])
+    m.add_node("b", [1.0, 0, 0])
+    m.add_rigid_link("a", "b")
+    m.add_support("a", "rigid")
+    m.set_end_effector("b")
+    return m
+
+
+def locked_lever():
+    """A rigid lever on a torsion-spring support: one free direction at the end."""
+    m = msakit.Model()
+    m.add_node("j", [0, 0, 0])
+    m.add_node("b", [0.5, 0, 0])
+    m.add_rigid_link("j", "b")
+    m.add_support("j", "elastic", basis=RZ, stiffness=[[100.0]])
+    m.set_end_effector("b")
+    return m
+
+
+def coaxial_pin_chain(redundant):
+    """Two beams joined by one pin, or by two pins on one axis that split
+    their rotation indeterminately."""
+    m = msakit.Model()
+    m.add_node("a", [0, 0, 0])
+    m.add_node("b", [0.5, 0, 0])
+    m.add_beam("a", "b", **section_kwargs())
+    if redundant:
+        for n in ("c", "d", "e"):
+            m.add_node(n, [0.5, 0, 0])
+        m.add_node("f", [1.0, 0.2, 0])
+        m.add_joint("passive", ("b", "c"), basis=RZ)
+        m.add_rigid_link("c", "d")
+        m.add_joint("passive", ("d", "e"), basis=RZ)
+        m.add_beam("e", "f", **section_kwargs())
+    else:
+        m.add_node("e", [0.5, 0, 0])
+        m.add_node("f", [1.0, 0.2, 0])
+        m.add_joint("passive", ("b", "e"), basis=RZ)
+        m.add_beam("e", "f", **section_kwargs())
+    m.add_support("a", "rigid")
+    m.set_end_effector("f")
+    return m
+
+
+def pendulum_chain(pendulums, beams=6):
+    """Clamped chain of rigidly joined beams; at each of the first interior
+    points a free pendulum beam (nodes q<2j>, q<2j+1>) hangs from a pin about
+    z, its far end only a load point, so each one is a mechanism."""
+    m = msakit.Model()
+    points = [np.array([0.3 * k, 0.05 * k * k, 0.0]) for k in range(beams + 1)]
+    for k in range(beams):
+        m.add_node(f"a{k}", points[k])
+        m.add_node(f"b{k}", points[k + 1])
+        m.add_beam(f"a{k}", f"b{k}", **section_kwargs())
+    for k in range(1, beams):
+        carriers = (f"b{k - 1}", f"a{k}")
+        if k > pendulums:
+            m.add_joint("rigid", carriers)
+            continue
+        hinge, tip = f"q{2 * k - 2}", f"q{2 * k - 1}"
+        m.add_node(hinge, points[k])
+        m.add_node(tip, points[k] + np.array([0.0, 0.2, 0.1 * k]))
+        m.add_beam(hinge, tip, **section_kwargs())
+        m.add_junction(carriers, [(hinge, RZ)])
+        m.add_load_point(tip)
+    m.add_support("a0", "rigid")
+    m.set_end_effector(f"b{beams - 1}")
+    return m
 
 
 class TestAssemble:
@@ -24,19 +113,8 @@ class TestAssemble:
             model.assemble()
 
     def test_non_square_rejected_with_breakdown(self):
-        m = msakit.Model()
-        m.add_node("a", [0, 0, 0])
-        m.add_node("b", [0.5, 0, 0])
-        m.add_node("c", [0.5, 0, 0])
-        m.add_node("d", [1.0, 0, 0])
-        m.add_beam("a", "b", **section_kwargs())
-        m.add_beam("c", "d", **section_kwargs())
-        m.add_joint("rigid", ("b", "c"))
-        m.add_joint("rigid", ("b", "c"))   # duplicate: twelve surplus rows
-        m.add_support("a", "rigid")
-        m.set_end_effector("d")
         with pytest.raises(msakit.ModelError, match="not square"):
-            m.assemble()
+            duplicated_joint().assemble()
 
     def test_joint_nodes_must_coincide(self):
         model, _ = cantilever()
@@ -102,24 +180,12 @@ class TestCartesianStiffness:
         assert rel_fro(kc_rot, Q @ kc @ Q.T) <= 1e-8
 
     def test_rigidly_locked_end_gives_infinite_sentinel(self):
-        m = msakit.Model()
-        m.add_node("a", [0, 0, 0])
-        m.add_node("b", [1.0, 0, 0])
-        m.add_rigid_link("a", "b")
-        m.add_support("a", "rigid")
-        m.set_end_effector("b")
-        result = m.cartesian_stiffness()
+        result = locked_end().cartesian_stiffness()
         assert result.diagnostics.infinite
         assert np.all(np.isinf(result.kc))
 
     def test_partially_locked_lever_is_flagged(self):
-        m = msakit.Model()
-        m.add_node("j", [0, 0, 0])
-        m.add_node("b", [0.5, 0, 0])
-        m.add_rigid_link("j", "b")
-        m.add_support("j", "elastic", basis=RZ, stiffness=[[100.0]])
-        m.set_end_effector("b")
-        result = m.cartesian_stiffness()
+        result = locked_lever().cartesian_stiffness()
         assert result.diagnostics.pseudo_inverse
         assert result.diagnostics.locked and not result.diagnostics.infinite
         assert result.diagnostics.locked_directions.shape[0] == 5
@@ -146,39 +212,16 @@ class TestCartesianStiffness:
         assert rel_fro(chain("elastic"), chain("rigid")) <= 1e-3
 
     def test_redundant_coaxial_pins_use_pseudo_inverse(self):
-        # Two pins on one axis split their rotation indeterminately: the
-        # internal block is singular, the fallback engages, and the stiffness
-        # matches the equivalent single-pin chain.
-        def chain(redundant):
-            m = msakit.Model()
-            m.add_node("a", [0, 0, 0])
-            m.add_node("b", [0.5, 0, 0])
-            m.add_beam("a", "b", **section_kwargs())
-            if redundant:
-                for n in ("c", "d", "e"):
-                    m.add_node(n, [0.5, 0, 0])
-                m.add_node("f", [1.0, 0.2, 0])
-                m.add_joint("passive", ("b", "c"), basis=RZ)
-                m.add_rigid_link("c", "d")
-                m.add_joint("passive", ("d", "e"), basis=RZ)
-                m.add_beam("e", "f", **section_kwargs())
-            else:
-                m.add_node("e", [0.5, 0, 0])
-                m.add_node("f", [1.0, 0.2, 0])
-                m.add_joint("passive", ("b", "e"), basis=RZ)
-                m.add_beam("e", "f", **section_kwargs())
-            m.add_support("a", "rigid")
-            m.set_end_effector("f")
-            return m
-
-        single = chain(False).cartesian_stiffness()
-        redundant = chain(True).cartesian_stiffness()
+        # The internal block of the two-pin chain is singular, the bordered
+        # solve engages, and the stiffness matches the single-pin chain.
+        single = coaxial_pin_chain(False).cartesian_stiffness()
+        redundant = coaxial_pin_chain(True).cartesian_stiffness()
         assert not single.diagnostics.pseudo_inverse
         assert redundant.diagnostics.pseudo_inverse
         assert redundant.diagnostics.a_rank == redundant.diagnostics.a_size - 1
         assert rel_fro(redundant.kc, single.kc) <= 1e-8
         # The loaded solve distributes the indeterminate rotation.
-        state = chain(True).solve([0, 0, 30.0, 0, 0, 0])
+        state = coaxial_pin_chain(True).solve([0, 0, 30.0, 0, 0, 0])
         assert state.residual <= 1e-9
 
     def test_asymmetric_model_is_surfaced(self):
@@ -303,6 +346,21 @@ class TestSolveLoaded:
                                    rtol=1e-9, atol=1e-15)
 
 
+    @pytest.mark.parametrize("links, joint_stiffness", [(100, None), (5, 100.0), (400, 1e6)])
+    def test_long_and_soft_chains_pass_the_backward_error_gate(self, links, joint_stiffness):
+        # A residual scaled by the load alone rejected these accurate solves:
+        # link rows carry K*dt terms near 1e9 while the load is tens of N.
+        rng = np.random.default_rng(2)
+        model = random_chain(rng, links, joint_stiffness)
+        w = rng.normal(size=6) * 50
+        system = model.assemble()
+        kc = msakit.cartesian_stiffness(system).kc
+        state = msakit.solve_loaded(system, w)
+        assert state.residual <= msakit.assembly.RESIDUAL_RTOL
+        expected = np.linalg.solve(kc, w)
+        assert np.linalg.norm(state.end_deflection - expected) <= 1e-6 * np.linalg.norm(expected)
+
+
 class TestQueries:
     def test_dual_support_link_is_square_and_queryable(self):
         m = msakit.Model()
@@ -345,22 +403,47 @@ class TestCheckModel:
         assert report.mechanisms == 6
 
     def test_duplicated_joint_reports_redundancy(self):
-        m = msakit.Model()
-        m.add_node("a", [0, 0, 0])
-        m.add_node("b", [0.5, 0, 0])
-        m.add_node("c", [0.5, 0, 0])
-        m.add_node("d", [1.0, 0, 0])
-        m.add_beam("a", "b", **section_kwargs())
-        m.add_beam("c", "d", **section_kwargs())
-        m.add_joint("rigid", ("b", "c"))
-        m.add_joint("rigid", ("b", "c"))
-        m.add_support("a", "rigid")
-        m.set_end_effector("d")
-        report = m.check()
+        report = duplicated_joint().check()
         assert not report.square
         assert report.redundant == 12
+
+    def test_pendulum_mechanism_names_its_nodes(self):
+        report = pendulum_chain(1).check()
+        assert report.mechanisms == 1
+        assert report.mechanism_nodes == ["q0", "q1"]
+        assert cantilever()[0].check().mechanism_nodes == []
 
     def test_row_kind_partition_is_complete(self):
         model, _ = cantilever()
         report = model.check()
         assert sum(report.rows_by_kind.values()) == report.rows
+
+
+SINGULAR_MODELS = {
+    "redundant coaxial pins": lambda: coaxial_pin_chain(True),
+    "partially locked lever": locked_lever,
+    "rigidly locked end": locked_end,
+    "one free pendulum": lambda: pendulum_chain(1),
+    "two free pendulums": lambda: pendulum_chain(2),
+    "three free pendulums": lambda: pendulum_chain(3),
+    "duplicated joint (non-square)": duplicated_joint,
+}
+
+
+@pytest.mark.parametrize("name", SINGULAR_MODELS)
+def test_bordered_solve_matches_dense_svd_oracle(name):
+    model = SINGULAR_MODELS[name]()
+    oracle = dense_audit(model)
+    report = model.check()
+    assert (report.rank, report.redundant, report.mechanisms) == (
+        oracle["rank"], oracle["redundant"], oracle["mechanisms"])
+    if not report.square:
+        return
+    result = model.cartesian_stiffness()
+    diag = result.diagnostics
+    assert diag.pseudo_inverse
+    locked = 0 if diag.locked_directions is None else diag.locked_directions.shape[0]
+    assert (diag.a_rank, locked, diag.infinite) == (
+        oracle["a_rank"], oracle["locked"], oracle["infinite"])
+    if not diag.infinite:
+        assert rel_fro(result.kc, oracle["kc"]) <= 1e-8

@@ -189,6 +189,13 @@ class TestCli:
         assert result["support_reactions"]["a"][1] == pytest.approx(-100.0)
         assert result["equilibrium_relative"] <= 1e-9
 
+    def test_analyze_load_with_negative_first_component(self, tmp_path):
+        path = self._write(tmp_path, cantilever_doc())
+        out = tmp_path / "result.json"
+        assert main(["analyze", path, "--load", "-0.5,100,0,0,0,0", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["support_reactions"]["a"][:2] == pytest.approx([0.5, -100.0])
+
     def test_analyze_without_load_omits_state(self, tmp_path, capsys):
         path = self._write(tmp_path, cantilever_doc())
         assert main(["analyze", path]) == 0
@@ -221,7 +228,9 @@ class TestCli:
         data["supports"] = []
         path = self._write(tmp_path, data)
         assert main(["check", path]) == 1
-        assert "6 mechanisms" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "6 mechanisms" in lines[0]
+        assert lines[1] == "  mechanism nodes: a"
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/m.json"]) == 1
