@@ -104,6 +104,7 @@ class GlobalSystem:
     support_nodes: tuple
     end_effector: Hashable | None
     stiff_scale: float
+    connectivity: dict               # node -> number of blocks that touch it
 
     def __post_init__(self):
         self._index = {node: k for k, node in enumerate(self.nodes)}
@@ -132,27 +133,11 @@ class GlobalSystem:
             counts[kind] += 1
         return counts
 
-    def coefficient_blocks(self) -> dict:
-        """The four aggregated blocks: wrench/deflection columns split across
-        constraint rows (S, K) and load rows (E, F)."""
-        n = 6 * self.n_nodes
-        load = np.zeros(self.matrix.shape[0], dtype=bool)
-        for rows in self.load_rows.values():
-            load[rows] = True
-        M = self.matrix
-        return {
-            "S": M[~load][:, :n], "K": M[~load][:, n:],
-            "E": M[load][:, :n], "F": M[load][:, n:],
-        }
-
     def rows_by_source(self) -> dict:
         out: dict = {}
         for source, _ in self.row_meta:
             out[source] = out.get(source, 0) + 1
         return out
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def _scaled_matrix(self) -> scipy.sparse.csr_matrix:
         n = 6 * self.n_nodes
@@ -161,86 +146,97 @@ class GlobalSystem:
         return (self.matrix @ scipy.sparse.diags(scale)).tocsr()
 
 
+def _concat(arrays: list, dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=dtype)
+
+
 def _build_system(model: Model, blocks: list) -> GlobalSystem:
+    """Aggregate the blocks' local triplets in one pass over stacked arrays."""
     nodes = list(model.positions.keys())
-    index = {node: k for k, node in enumerate(nodes)}
     n = len(nodes)
-    col_of = {}
-    for node, k in index.items():
-        col_of[("W", node)] = 6 * k
-        col_of[("t", node)] = 6 * n + 6 * k
+    col_of = {(kind, node): base + 6 * k for kind, base in (("W", 0), ("t", 6 * n))
+              for k, node in enumerate(nodes)}
+    variables = [var for block in blocks for var in block.variables]
+    try:
+        var_col = np.fromiter(map(col_of.__getitem__, variables), np.intp, len(variables))
+    except KeyError as exc:
+        var = exc.args[0]
+        source = next(b.source for b in blocks if var in b.variables)
+        raise ModelError(f"{source}: unknown node id {var[1]!r}") from None
 
-    rows_total = sum(b.rows for b in blocks)
-    data, ri, ci = [], [], []
-    rhs = np.zeros(rows_total)
-    row_meta: list = []
-    load_rows: dict = {}
-    link_scale = 0.0
-    any_scale = 0.0
+    block_rows = np.array([b.rows for b in blocks], dtype=np.intp)
+    row_base = np.cumsum(block_rows) - block_rows
+    n_vars = np.array([len(b.variables) for b in blocks], dtype=np.intp)
+    var_base = np.cumsum(n_vars) - n_vars
+    nnz = [b.coo_values.size for b in blocks]
+    rows = _concat([b.coo_rows for b in blocks], np.intp) + np.repeat(row_base, nnz)
+    local = _concat([b.coo_cols for b in blocks], np.intp) + 6 * np.repeat(var_base, nnz)
+    cols = var_col[local // 6] + local % 6
+    values = _concat([b.coo_values for b in blocks], float)
 
-    base = 0
-    for block in blocks:
-        for row, var, sub in block.entries:
-            if var[1] not in index:
-                raise ModelError(f"{block.source}: unknown node id {var[1]!r}")
-            r0 = base + row
-            c0 = col_of[var]
-            rr, cc = np.nonzero(sub)
-            data.extend(sub[rr, cc])
-            ri.extend(r0 + rr)
-            ci.extend(c0 + cc)
-            if var[0] == "t":
-                peak = float(np.max(np.abs(sub)))
-                any_scale = max(any_scale, peak)
-                if block.category == "link":
-                    link_scale = max(link_scale, peak)
-        rhs[base:base + block.rows] = block.rhs
-        row_meta.extend((block.source, kind) for kind in block.row_kinds())
-        if block.category == "load":
-            load_rows[block.load_node] = np.arange(base, base + block.rows)
-        base += block.rows
     # Deflection columns are rescaled by a representative link stiffness; joint
     # springs may be orders of magnitude away by design and must not set it.
-    stiff_scale = max(link_scale or any_scale, 1.0)
+    deflection = cols >= 6 * n
+    peak = np.abs(values[deflection])
+    in_link = np.repeat(np.array([b.category == "link" for b in blocks], dtype=bool), nnz)
+    in_link = in_link[deflection]
+    stiff_scale = max(float(peak[in_link].max(initial=0.0)) or float(peak.max(initial=0.0)),
+                      1.0)
 
+    # Blocks touching each node, each block counted once per node.
+    var_node = var_col // 6 % n
+    touched = np.unique(np.repeat(np.arange(len(blocks)), n_vars) * n + var_node)
+    counts = np.bincount(touched % n, minlength=n)
+
+    keep = values != 0.0
     matrix = scipy.sparse.coo_matrix(
-        (data, (ri, ci)), shape=(rows_total, 12 * n)
+        (values[keep], (rows[keep], cols[keep])), shape=(int(block_rows.sum()), 12 * n)
     ).tocsr()
+    load_rows = {b.load_node: np.arange(base, base + b.rows)
+                 for b, base in zip(blocks, row_base.tolist()) if b.category == "load"}
     return GlobalSystem(
         nodes=nodes,
         positions=dict(model.positions),
         matrix=matrix,
-        rhs=rhs,
+        rhs=_concat([b.rhs for b in blocks], float),
         load_rows=load_rows,
         load_incidents=dict(model.load_points),
-        row_meta=row_meta,
+        row_meta=[(b.source, kind) for b in blocks for kind in b.row_kinds()],
         support_nodes=tuple(model.supports.keys()),
         end_effector=model.end_effector,
         stiff_scale=stiff_scale,
+        connectivity=dict(zip(nodes, counts.tolist())),
     )
 
 
 def assemble(model: Model) -> GlobalSystem:
     """Validate the model structurally and aggregate its equation blocks.
 
-    Raises ModelError for dangling nodes or a row/column mismatch; the error
-    carries a per-source row breakdown to make miscounts findable.
+    Raises ModelError for dangling nodes, a row/column mismatch (the error
+    carries a per-source row breakdown to make miscounts findable) or a node
+    that two connections claim.
     """
     if not model.positions:
         raise ModelError("model has no nodes")
     blocks = _emit_blocks(model)
-    touched: set = set()
-    for block in blocks:
-        touched |= block.nodes()
-    dangling = [node for node in model.positions if node not in touched]
+    system = _build_system(model, blocks)
+    dangling = [node for node, count in system.connectivity.items() if count == 0]
     if dangling:
         raise ModelError(f"nodes with no equations: {dangling!r}")
-    system = _build_system(model, blocks)
     rows, cols = system.shape
     if rows != cols:
         breakdown = ", ".join(f"{src}: {cnt}" for src, cnt in system.rows_by_source().items())
         raise ModelError(
             f"system is not square: {rows} equations for {cols} unknowns ({breakdown})")
+    first = len(model.flexible_links) + len(model.rigid_links) + len(model.platforms)
+    owner: dict = {}
+    for spec, block in zip(model.connections, blocks[first:]):
+        for node in spec.nodes:
+            if node in owner:
+                raise ModelError(
+                    f"node {node!r} belongs to both {owner[node]} and {block.source}; "
+                    "join three or more link ends at one point with add_junction")
+            owner[node] = block.source
     return system
 
 
@@ -675,28 +671,14 @@ def check_model(model: Model) -> ModelReport:
     to square with zero rows or columns, so one factorization route serves
     every model.
     """
-    blocks = _emit_blocks(model)
-    nodes = list(model.positions.keys())
-    rows = sum(b.rows for b in blocks)
-    unknowns = 12 * len(nodes)
-
-    rows_by_source: dict = {}
-    rows_by_kind = {"link": 0, "compat": 0, "wrench": 0, "mixed": 0, "load": 0}
-    connectivity = {node: 0 for node in nodes}
-    for block in blocks:
-        rows_by_source[block.source] = rows_by_source.get(block.source, 0) + block.rows
-        for kind in block.row_kinds():
-            rows_by_kind[kind] += 1
-        for node in block.nodes():
-            if node in connectivity:
-                connectivity[node] += 1
-    dangling = [node for node, count in connectivity.items() if count == 0]
+    system = _build_system(model, _emit_blocks(model))
+    rows, unknowns = system.shape
+    dangling = [node for node, count in system.connectivity.items() if count == 0]
 
     rank = 0
     mechanisms = unknowns
     mechanism_nodes: list = []
-    if blocks and unknowns:
-        system = _build_system(model, blocks)
+    if rows and unknowns:
         M = system._scaled_matrix()
         full = _Factorization(_square(M))
         rank = full.rank
@@ -711,16 +693,16 @@ def check_model(model: Model) -> ModelReport:
         mechanisms = keep_cols.size - held.rank
         mechanism_nodes = _mechanism_nodes(system, held.null_right[:keep_cols.size], keep_cols)
     return ModelReport(
-        nodes=len(nodes),
+        nodes=system.n_nodes,
         unknowns=unknowns,
         rows=rows,
-        rows_by_source=rows_by_source,
-        rows_by_kind=rows_by_kind,
+        rows_by_source=system.rows_by_source(),
+        rows_by_kind=system.block_row_counts(),
         square=(rows == unknowns),
         rank=rank,
         mechanisms=mechanisms,
         redundant=rows - rank,
         dangling=dangling,
-        connectivity=connectivity,
+        connectivity=system.connectivity,
         mechanism_nodes=mechanism_nodes,
     )

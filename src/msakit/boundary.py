@@ -10,9 +10,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import JointBasis, JointStiffness, Wrench, shift_wrench
-from .equations import EquationBlock, deflection_var, wrench_var
-from .joints import _check_preload
+from .core import JointBasis, Wrench, shift_wrench
+from .equations import EYE6, EquationBlock, deflection_var, wrench_var
+from .joints import _spring
 
 SUPPORT_KINDS = ("rigid", "passive", "elastic")
 
@@ -22,7 +22,7 @@ def rigid_support_equations(node: Hashable) -> EquationBlock:
     return EquationBlock(
         source=f"support@{node}",
         rows=6,
-        entries=[(0, deflection_var(node), np.eye(6))],
+        entries=[(0, deflection_var(node), EYE6)],
     )
 
 
@@ -44,20 +44,8 @@ def elastic_support_equations(node: Hashable, basis: JointBasis,
                               stiffness, preload=None) -> EquationBlock:
     """Sprung support: rigid directions blocked, elastic directions obey
     Le W_j + Ke Le dt_j = Le W0."""
-    if isinstance(stiffness, JointStiffness):
-        if preload is None:
-            preload = stiffness.preload
-        Ke = stiffness.matrix
-    else:
-        Ke = JointStiffness(stiffness).matrix
-    e = basis.p
-    if e < 1:
-        raise ValueError("elastic support needs at least one elastic direction")
-    if Ke.shape != (e, e):
-        raise ValueError(f"support stiffness must be {e}x{e} for this basis, got {Ke.shape}")
-    r = basis.r
-    le = basis.lambda_free
-    w0 = _check_preload(preload, basis, f"support@{node}")
+    Ke, w0 = _spring(basis, stiffness, preload, "support", f"support@{node}")
+    r, le = basis.r, basis.lambda_free
     entries = []
     if r:
         entries.append((0, deflection_var(node), basis.lambda_rigid))
@@ -79,7 +67,7 @@ def external_load_equations(nodes: Sequence[Hashable], end_node: Hashable) -> Eq
         raise ValueError("a load point needs at least one incident node")
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate node ids at load point")
-    entries = [(0, wrench_var(node), np.eye(6)) for node in nodes]
+    entries = [(0, wrench_var(node), EYE6) for node in nodes]
     return EquationBlock(
         source=f"load@{end_node}",
         rows=6,

@@ -174,8 +174,14 @@ def rotate_link_stiffness(K, R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3) or not is_rotation(R):
         raise ValueError("R must be a proper rotation matrix (orthonormal, det +1)")
-    Q = np.kron(np.eye(4), R)
-    return Q @ K @ Q.T
+    return _rotate_blocks(K, R)
+
+
+def _rotate_blocks(K: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Q K Q^T for Q = blockdiag(R, ..., R), one 3x3 block R K_ab R^T at a time."""
+    m = K.shape[0] // 3
+    blocks = K.reshape(m, 3, m, 3).swapaxes(1, 2)
+    return (R @ blocks @ R.T).swapaxes(1, 2).reshape(K.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +204,8 @@ class JointBasis:
         stacked = np.vstack([self.u_rigid, self.u_free])
         if stacked.shape[0] != 6:
             raise ValueError(f"joint basis needs exactly 6 vectors, got {stacked.shape[0]}")
+        if not np.isfinite(stacked).all():
+            raise ValueError("joint basis has non-finite entries")
         gram = stacked @ stacked.T
         if np.max(np.abs(gram - np.eye(6))) > ORTHONORMAL_TOL:
             raise ValueError("joint basis vectors are not orthonormal to 1e-12")
@@ -288,6 +296,8 @@ class JointStiffness:
             Ke = Ke.reshape(1, 1)
         if Ke.ndim != 2 or Ke.shape[0] != Ke.shape[1] or not (1 <= Ke.shape[0] <= 6):
             raise ValueError(f"joint stiffness must be e x e with 1 <= e <= 6, got {Ke.shape}")
+        if not np.isfinite(Ke).all():
+            raise ValueError("joint stiffness matrix has non-finite entries")
         scale = max(np.max(np.abs(Ke)), 1.0)
         if np.max(np.abs(Ke - Ke.T)) > 1e-12 * scale:
             raise ValueError("joint stiffness matrix must be symmetric to 1e-12")
@@ -300,3 +310,11 @@ class JointStiffness:
     @property
     def e(self) -> int:
         return self.matrix.shape[0]
+
+
+def _joint_stiffness(stiffness, preload=None) -> JointStiffness:
+    """`stiffness` (a JointStiffness or a matrix) as a JointStiffness; a given
+    preload replaces the one it carries."""
+    if isinstance(stiffness, JointStiffness):
+        return stiffness if preload is None else JointStiffness(stiffness.matrix, preload)
+    return JointStiffness(stiffness, preload)

@@ -7,13 +7,14 @@ constraints built from transport operators.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import _as_vector, _freeze, _transport6, rotate_link_stiffness
-from .equations import EquationBlock, deflection_var, wrench_var
+from .core import _as_vector, _freeze, _rotate_blocks, _transport6
+from .equations import EYE6, NEG_EYE6, EquationBlock, deflection_var, wrench_var
 
 # Relative symmetry tolerance for user-supplied 12x12 matrices (CAD-extracted
 # matrices carry numerical asymmetry); worse than this is rejected.
@@ -36,7 +37,7 @@ class BeamSection:
     def __post_init__(self):
         for name in ("E", "G", "A", "L", "Iy", "Iz", "J"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
+            if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"beam section {name} must be positive, got {value}")
         axis = _as_vector(self.axis, 3, "axis")
         n = np.linalg.norm(axis)
@@ -141,23 +142,21 @@ def _local_beam_matrix(E, G, A, L, Iy, Iz, J) -> np.ndarray:
 def beam_frame(axis) -> np.ndarray:
     """Right-handed local frame with x along `axis` (columns are local axes)."""
     x = _as_vector(axis, 3, "axis")
-    x = x / np.linalg.norm(x)
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(x @ ref) > 1.0 - 1e-9:
-        ref = np.array([0.0, 1.0, 0.0])
-    y = np.cross(ref, x)
-    y = y / np.linalg.norm(y)
-    z = np.cross(x, y)
-    return np.column_stack([x, y, z])
+    a, b, c = (x / math.sqrt(x.dot(x))).tolist()
+    # y = ref x axis with ref = z, or y when the axis is nearly along z.
+    y = np.array([-b, a, 0.0] if abs(c) <= 1.0 - 1e-9 else [c, 0.0, -a])
+    ya, yb, yc = (y / math.sqrt(y.dot(y))).tolist()
+    return np.array([[a, ya, b * yc - c * yb],
+                     [b, yb, c * ya - a * yc],
+                     [c, yc, a * yb - b * ya]])
 
 
-def beam_stiffness(section: BeamSection) -> LinkStiffness:
-    """Global-frame 12x12 stiffness of a uniform beam element."""
+def beam_stiffness(section: BeamSection, nodes: tuple | None = None) -> LinkStiffness:
+    """Global-frame 12x12 stiffness of a uniform beam element (on `nodes`, if given)."""
     k_local = _local_beam_matrix(section.E, section.G, section.A, section.L,
                                  section.Iy, section.Iz, section.J)
-    R = beam_frame(section.axis)
-    k = rotate_link_stiffness(k_local, R)
-    return LinkStiffness(0.5 * (k + k.T))  # drop rotation roundoff asymmetry
+    k = _rotate_blocks(k_local, beam_frame(section.axis))
+    return LinkStiffness(0.5 * (k + k.T), nodes)  # drop rotation roundoff asymmetry
 
 
 def flexible_link_equations(link: LinkStiffness) -> EquationBlock:
@@ -170,8 +169,8 @@ def flexible_link_equations(link: LinkStiffness) -> EquationBlock:
         rows=12,
         category="link",
         entries=[
-            (0, wrench_var(i), -np.eye(6)),
-            (6, wrench_var(j), -np.eye(6)),
+            (0, wrench_var(i), NEG_EYE6),
+            (6, wrench_var(j), NEG_EYE6),
             (0, deflection_var(i), link.K11),
             (0, deflection_var(j), link.K12),
             (6, deflection_var(i), link.K21),
@@ -195,8 +194,8 @@ def rigid_link_equations(d, nodes) -> EquationBlock:
         rows=12,
         entries=[
             (0, deflection_var(i), D),
-            (0, deflection_var(j), -np.eye(6)),
-            (6, wrench_var(i), np.eye(6)),
+            (0, deflection_var(j), NEG_EYE6),
+            (6, wrench_var(i), EYE6),
             (6, wrench_var(j), D.T),
         ],
     )
@@ -223,13 +222,13 @@ def rigid_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
     for k, (node, d) in enumerate(clamps):
         D = _transport6(d)
         entries.append((6 * k, deflection_var(node), D))
-        entries.append((6 * k, deflection_var(end), -np.eye(6)))
+        entries.append((6 * k, deflection_var(end), NEG_EYE6))
     row_w = 6 * n
     for node, d in clamps:
         # Equilibrium about the end point: transport uses the end-to-clamp offset.
         D_back = _transport6(-np.asarray(d, dtype=float))
         entries.append((row_w, wrench_var(node), D_back.T))
-    entries.append((row_w, wrench_var(end), np.eye(6)))
+    entries.append((row_w, wrench_var(end), EYE6))
     return EquationBlock(
         source=f"rigid_platform({','.join(map(str, ids))};{end})",
         rows=6 * n + 6,
@@ -259,12 +258,12 @@ def flexible_platform_equations(clamp_links: Sequence[LinkStiffness], end: Hasha
     row_e = 6 * n
     for k, link in enumerate(links):
         clamp = link.nodes[0]
-        entries.append((6 * k, wrench_var(clamp), -np.eye(6)))
+        entries.append((6 * k, wrench_var(clamp), NEG_EYE6))
         entries.append((6 * k, deflection_var(clamp), link.K11))
         entries.append((6 * k, deflection_var(end), link.K12))
         entries.append((row_e, deflection_var(clamp), link.K21))
         k22_sum = k22_sum + link.K22
-    entries.append((row_e, wrench_var(end), -np.eye(6)))
+    entries.append((row_e, wrench_var(end), NEG_EYE6))
     entries.append((row_e, deflection_var(end), k22_sum))
     return EquationBlock(
         source=f"flexible_platform({','.join(map(str, clamp_ids))};{end})",

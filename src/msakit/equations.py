@@ -1,12 +1,14 @@
 """Equation blocks: the uniform currency produced by all emitters.
 
 A block is a group of scalar equations over per-node wrench and deflection
-unknowns. Coefficients are stored as (row offset, variable, sub-block)
-entries so the assembler can scatter them into the global sparse matrix
-while keeping provenance per row.
+unknowns. Emitters give its coefficients as (row offset, variable, sub-block)
+entries; the block turns them once into local COO triplets over its own
+variables (six columns each, in order of first use), which the assembler
+scatters into the global sparse matrix while keeping provenance per row.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -14,6 +16,11 @@ import numpy as np
 
 # Variable reference: ("W", node) for a wrench, ("t", node) for a deflection.
 Var = tuple
+
+# Read-only identity blocks, shared by the emitters' entries.
+EYE6 = np.eye(6)
+NEG_EYE6 = -EYE6
+EYE6.flags.writeable = NEG_EYE6.flags.writeable = False
 
 
 def wrench_var(node: Hashable) -> Var:
@@ -32,6 +39,11 @@ class EquationBlock:
     for external-wrench equilibrium rows, and "constraint" otherwise.
     Load blocks carry `load_node`, the key under which the applied wrench is
     bound to the right-hand side at solve time.
+
+    `variables` lists the block's variables in order of first use; entry
+    coefficients, zeros included, are kept as triplets (`coo_rows`,
+    `coo_cols`, `coo_values`), column 6k + c being component c of
+    variable k.
     """
 
     source: str
@@ -48,57 +60,33 @@ class EquationBlock:
             raise ValueError(f"unknown block category {self.category!r}")
         if (self.category == "load") != (self.load_node is not None):
             raise ValueError("load blocks (and only load blocks) carry a load node")
-        norm = []
-        for row, var, block in self.entries:
-            block = np.asarray(block, dtype=float)
-            if block.ndim == 1:
-                block = block.reshape(1, -1)
-            if block.shape[1] != 6:
-                raise ValueError(f"{self.source}: coefficient blocks must be 6 columns wide")
-            if not (0 <= row and row + block.shape[0] <= self.rows):
-                raise ValueError(f"{self.source}: entry rows [{row}, {row + block.shape[0]}) "
-                                 f"outside block of {self.rows} rows")
-            kind, _ = var
-            if kind not in ("W", "t"):
-                raise ValueError(f"{self.source}: unknown variable kind {kind!r}")
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"{self.source}: non-finite coefficients")
-            norm.append((int(row), var, block))
-        self.entries = norm
-        if self.rhs is None:
-            self.rhs = np.zeros(self.rows)
-        else:
-            self.rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
-            if self.rhs.shape != (self.rows,):
-                raise ValueError(f"{self.source}: rhs length {self.rhs.shape[0]} != rows {self.rows}")
-        covered = np.zeros(self.rows, dtype=bool)
-        for row, _, block in self.entries:
-            covered[row:row + block.shape[0]] = True
-        if not covered.all():
-            raise ValueError(f"{self.source}: rows without any coefficient entry")
-
-    def nodes(self) -> set:
-        return {var[1] for _, var, _ in self.entries}
+        starts, variables, subs = zip(*self.entries) if self.entries else ((), (), ())
+        subs = [s if s.ndim == 2 else s.reshape(1, -1)
+                for s in (np.asarray(s, dtype=float) for s in subs)]
+        self.variables = list(dict.fromkeys(variables))
+        slot = dict(zip(self.variables, range(len(self.variables))))
+        try:
+            self.coo_rows, self.coo_cols, self._kinds = _pattern(
+                self.rows, starts, tuple(s.shape for s in subs),
+                tuple(map(slot.__getitem__, variables)),
+                tuple(kind for kind, _ in self.variables))
+        except ValueError as exc:
+            raise ValueError(f"{self.source}: {exc}") from None
+        values = np.concatenate(subs).ravel()
+        if not np.isfinite(values).all():
+            raise ValueError(f"{self.source}: non-finite coefficients")
+        self.coo_values = values
+        self.entries = list(zip(map(int, starts), variables, subs))
+        self.rhs = (np.zeros(self.rows) if self.rhs is None
+                    else np.asarray(self.rhs, dtype=float).reshape(-1))
+        if self.rhs.shape != (self.rows,):
+            raise ValueError(f"{self.source}: rhs length {self.rhs.shape[0]} != rows {self.rows}")
 
     def row_kinds(self) -> list:
         """Per-row classification: link, load, compat, wrench or mixed."""
-        if self.category == "link":
-            return ["link"] * self.rows
-        if self.category == "load":
-            return ["load"] * self.rows
-        touched = [set() for _ in range(self.rows)]
-        for row, (kind, _), block in self.entries:
-            for i in range(row, row + block.shape[0]):
-                touched[i].add(kind)
-        out = []
-        for kinds in touched:
-            if kinds == {"t"}:
-                out.append("compat")
-            elif kinds == {"W"}:
-                out.append("wrench")
-            else:
-                out.append("mixed")
-        return out
+        if self.category != "constraint":
+            return [self.category] * self.rows
+        return list(self._kinds)
 
     def dense(self, variables: Sequence[Var] | None = None) -> tuple:
         """Dense coefficient matrix over `variables` (default: this block's own).
@@ -106,22 +94,50 @@ class EquationBlock:
         Returns (matrix, ordered variables); handy for rank audits.
         """
         if variables is None:
-            seen = []
-            for _, var, _ in self.entries:
-                if var not in seen:
-                    seen.append(var)
-            variables = seen
+            variables = self.variables
         index = {var: 6 * i for i, var in enumerate(variables)}
-        M = np.zeros((self.rows, 6 * len(variables)))
-        for row, var, block in self.entries:
+        for var in self.variables:
             if var not in index:
                 raise ValueError(f"variable {var} not in the requested ordering")
-            c = index[var]
-            M[row:row + block.shape[0], c:c + 6] += block
+        base = np.array([index[var] for var in self.variables], dtype=np.intp)
+        M = np.zeros((self.rows, 6 * len(variables)))
+        np.add.at(M, (self.coo_rows, base[self.coo_cols // 6] + self.coo_cols % 6),
+                  self.coo_values)
         return M, list(variables)
 
 
-def stack_dense(blocks: Sequence[EquationBlock], variables: Sequence[Var]) -> np.ndarray:
-    """Vertically stack several blocks over a shared variable ordering."""
-    parts = [b.dense(variables)[0] for b in blocks]
-    return np.vstack(parts) if parts else np.zeros((0, 6 * len(variables)))
+@functools.lru_cache(maxsize=1024)
+def _pattern(rows: int, starts: tuple, shapes: tuple, slots: tuple, kinds: tuple) -> tuple:
+    """Checked layout of a block's entries: the local COO row and column of
+    every coefficient, and the compat/wrench/mixed kind of every row.
+
+    Entry k starts at row starts[k], has shape shapes[k] and refers to
+    variable slots[k], of kind kinds[slots[k]]. The layout does not depend
+    on the values, so every link, joint or support of one type shares one
+    cached result.
+    """
+    shapes = np.array(shapes, dtype=np.intp).reshape(-1, 2)
+    if np.any(shapes[:, 1] != 6):
+        raise ValueError("coefficient blocks must be 6 columns wide")
+    starts = np.array(starts, dtype=np.intp)
+    ends = starts + shapes[:, 0]
+    outside = (starts < 0) | (ends > rows)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"entry rows [{starts[k]}, {ends[k]}) outside block of {rows} rows")
+    unknown = set(kinds) - {"W", "t"}
+    if unknown:
+        raise ValueError(f"unknown variable kind {unknown.pop()!r}")
+    sizes = 6 * shapes[:, 0]
+    entry = np.repeat(np.arange(len(sizes)), sizes)
+    offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coo_rows = starts[entry] + offset // 6
+    coo_cols = 6 * np.array(slots, dtype=np.intp)[entry] + offset % 6
+    deflection = (np.array(kinds) == "t")[coo_cols // 6]
+    has_t = np.bincount(coo_rows[deflection], minlength=rows) > 0
+    has_w = np.bincount(coo_rows[~deflection], minlength=rows) > 0
+    if not (has_t | has_w).all():
+        raise ValueError("rows without any coefficient entry")
+    row_kinds = np.where(has_t & has_w, "mixed", np.where(has_t, "compat", "wrench"))
+    coo_rows.flags.writeable = coo_cols.flags.writeable = False
+    return coo_rows, coo_cols, tuple(row_kinds.tolist())

@@ -13,8 +13,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import JointBasis, JointStiffness, _as_vector
-from .equations import EquationBlock, deflection_var, wrench_var
+from .core import JointBasis, JointStiffness, _joint_stiffness
+from .equations import EYE6, NEG_EYE6, EquationBlock, deflection_var, wrench_var
 
 JOINT_KINDS = ("rigid", "passive", "elastic", "actuated")
 ACTUATION_IDEALIZATIONS = ("as-rigid", "as-elastic")
@@ -79,11 +79,11 @@ def rigid_joint_equations(nodes: Sequence[Hashable]) -> EquationBlock:
     last = nodes[-1]
     entries = []
     for k, node in enumerate(nodes[:-1]):
-        entries.append((6 * k, deflection_var(node), np.eye(6)))
-        entries.append((6 * k, deflection_var(last), -np.eye(6)))
+        entries.append((6 * k, deflection_var(node), EYE6))
+        entries.append((6 * k, deflection_var(last), NEG_EYE6))
     row_w = 6 * (len(nodes) - 1)
     for node in nodes:
-        entries.append((row_w, wrench_var(node), np.eye(6)))
+        entries.append((row_w, wrench_var(node), EYE6))
     return EquationBlock(
         source=f"joint<{','.join(map(str, nodes))}>",
         rows=6 * len(nodes),
@@ -127,29 +127,19 @@ def elastic_joint_equations(basis: JointBasis, stiffness, nodes, preload=None) -
     i, j = nodes
     if i == j:
         raise ValueError("elastic joint nodes must differ")
-    if isinstance(stiffness, JointStiffness):
-        if preload is None:
-            preload = stiffness.preload
-        Ke = stiffness.matrix
-    else:
-        Ke = JointStiffness(stiffness).matrix
-    e = basis.p
-    if e < 1:
-        raise ValueError("elastic joint needs at least one elastic direction")
-    if Ke.shape != (e, e):
-        raise ValueError(f"joint stiffness must be {e}x{e} for this basis, got {Ke.shape}")
-    r = basis.r
+    Ke, w0 = _spring(basis, stiffness, preload, "joint", f"joint<{i},{j}>")
+    r, e = basis.r, basis.p
     lr, le = basis.lambda_rigid, basis.lambda_free
-    w0 = _check_preload(preload, basis, f"joint<{i},{j}>")
     entries = []
     if r:
         entries.append((0, deflection_var(i), lr))
         entries.append((0, deflection_var(j), -lr))
-    entries.append((r, wrench_var(i), np.eye(6)))
-    entries.append((r, wrench_var(j), np.eye(6)))
+    entries.append((r, wrench_var(i), EYE6))
+    entries.append((r, wrench_var(j), EYE6))
     row_h = r + 6
-    entries.append((row_h, deflection_var(i), Ke @ le))
-    entries.append((row_h, deflection_var(j), -(Ke @ le)))
+    hooke = Ke @ le
+    entries.append((row_h, deflection_var(i), hooke))
+    entries.append((row_h, deflection_var(j), -hooke))
     entries.append((row_h, wrench_var(i), le))
     rhs = np.zeros(r + 6 + e)
     rhs[row_h:] = le @ w0
@@ -161,10 +151,17 @@ def elastic_joint_equations(basis: JointBasis, stiffness, nodes, preload=None) -
     )
 
 
-def _check_preload(preload, basis: JointBasis, source: str) -> np.ndarray:
-    if preload is None:
-        return np.zeros(6)
-    w0 = _as_vector(preload, 6, "preload")
+def _spring(basis: JointBasis, stiffness, preload, what: str, source: str) -> tuple:
+    """(Ke, W0) of an elastic joint or support: its spring matrix over the
+    basis' elastic directions and its preload (zero when it has none)."""
+    stiffness = _joint_stiffness(stiffness, preload)
+    Ke, e, w0 = stiffness.matrix, basis.p, stiffness.preload
+    if e < 1:
+        raise ValueError(f"elastic {what} needs at least one elastic direction")
+    if Ke.shape != (e, e):
+        raise ValueError(f"{what} stiffness must be {e}x{e} for this basis, got {Ke.shape}")
+    if w0 is None:
+        return Ke, np.zeros(6)
     if basis.r:
         rigid_part = np.linalg.norm(basis.lambda_rigid @ w0)
         if rigid_part > 1e-12 * max(np.linalg.norm(w0), 1.0):
@@ -173,7 +170,7 @@ def _check_preload(preload, basis: JointBasis, source: str) -> np.ndarray:
                 "indeterminate and are ignored",
                 stacklevel=3,
             )
-    return w0
+    return Ke, w0
 
 
 def actuated_joint_equations(spec: JointSpec) -> EquationBlock:
@@ -222,8 +219,8 @@ def junction_equations(rigid_nodes: Sequence[Hashable],
             row += basis.r
     last = rigid_nodes[-1]
     for node in rigid_nodes[:-1]:
-        entries.append((row, deflection_var(node), np.eye(6)))
-        entries.append((row, deflection_var(last), -np.eye(6)))
+        entries.append((row, deflection_var(node), EYE6))
+        entries.append((row, deflection_var(last), NEG_EYE6))
         row += 6
 
     homogeneous = bool(attachments) and all(
@@ -246,7 +243,7 @@ def junction_equations(rigid_nodes: Sequence[Hashable],
             row += basis.p
     else:
         for node in all_nodes:
-            entries.append((row, wrench_var(node), np.eye(6)))
+            entries.append((row, wrench_var(node), EYE6))
         row += 6
         for node, basis in attachments:
             entries.append((row, wrench_var(node), basis.lambda_free))

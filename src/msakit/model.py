@@ -10,7 +10,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .core import JointBasis, JointStiffness, _as_vector
+from .core import JointBasis, JointStiffness, _as_vector, _joint_stiffness
 from .elements import BeamSection, LinkStiffness, beam_stiffness
 from .errors import ModelError
 from .joints import JointSpec
@@ -40,6 +40,10 @@ class JunctionSpec:
     rigid_nodes: tuple
     passive_nodes: tuple           # of (node, JointBasis)
 
+    @property
+    def nodes(self) -> tuple:
+        return self.rigid_nodes + tuple(n for n, _ in self.passive_nodes)
+
 
 class Model:
     """Stiffness model under construction.
@@ -58,13 +62,15 @@ class Model:
         self.supports: dict = {}             # node -> SupportSpec
         self.load_points: dict = {}          # end node -> tuple of incident nodes
         self.end_effector: Hashable | None = None
+        self._extent = 1.0                   # max(1, largest |coordinate| of any node)
 
     # -- nodes ----------------------------------------------------------
 
     def add_node(self, node: Hashable, position) -> None:
         if node in self.positions:
             raise ModelError(f"node {node!r} already declared")
-        self.positions[node] = _as_vector(position, 3, f"position of {node!r}")
+        self.positions[node] = p = _as_vector(position, 3, f"position of {node!r}")
+        self._extent = max(self._extent, float(np.abs(p).max()))
 
     def position_of(self, node: Hashable) -> np.ndarray:
         self._require_nodes([node])
@@ -75,16 +81,10 @@ class Model:
             if node not in self.positions:
                 raise ModelError(f"unknown node id {node!r}")
 
-    def _extent(self) -> float:
-        if not self.positions:
-            return 1.0
-        pts = np.array(list(self.positions.values()))
-        return max(1.0, float(np.max(np.abs(pts))))
-
     def _require_coincident(self, nodes, what: str) -> None:
         pts = [self.positions[n] for n in nodes]
         spread = max(np.linalg.norm(p - pts[0]) for p in pts)
-        if spread > COINCIDENT_TOL * self._extent():
+        if spread > COINCIDENT_TOL * self._extent:
             raise ModelError(f"{what} nodes must be coincident (offset {spread:.3e}); "
                              "use a rigid link to bridge distinct points")
 
@@ -94,7 +94,7 @@ class Model:
         """Attach a 12x12 global-frame stiffness between nodes i and j."""
         self._require_nodes([i, j])
         if isinstance(K, LinkStiffness):
-            link = K.with_nodes(i, j)
+            link = K if K.nodes == (i, j) else K.with_nodes(i, j)
         else:
             link = LinkStiffness.from_matrix(K, (i, j))
         self.flexible_links.append(link)
@@ -112,7 +112,7 @@ class Model:
         if L <= 0.0:
             raise ModelError(f"beam ({i!r},{j!r}) has zero length")
         section = BeamSection(E=E, G=G, A=A, L=L, Iy=Iy, Iz=Iz, J=J, axis=d / L)
-        return self.add_flexible_link(i, j, beam_stiffness(section))
+        return self.add_flexible_link(i, j, beam_stiffness(section, (i, j)))
 
     def add_rigid_link(self, i: Hashable, j: Hashable) -> None:
         self._require_nodes([i, j])
@@ -139,17 +139,20 @@ class Model:
         self.platforms.append(PlatformSpec(kind="flexible", clamps=clamps, end=end,
                                            stiffnesses=links))
 
+    @staticmethod
+    def _stiffness(stiffness, preload) -> JointStiffness | None:
+        if stiffness is None:
+            if preload is not None:
+                raise ModelError("a preload needs an elastic stiffness to act through")
+            return None
+        return _joint_stiffness(stiffness, preload)
+
     # -- joints -----------------------------------------------------------
 
     def add_joint(self, kind: str, nodes: Sequence[Hashable], basis: JointBasis | None = None,
                   stiffness=None, preload=None, idealization: str | None = None) -> JointSpec:
         self._require_nodes(nodes)
-        if preload is not None and stiffness is None:
-            raise ModelError("a preload needs an elastic stiffness to act through")
-        if stiffness is not None and not isinstance(stiffness, JointStiffness):
-            stiffness = JointStiffness(stiffness, preload)
-        elif isinstance(stiffness, JointStiffness) and preload is not None:
-            stiffness = JointStiffness(stiffness.matrix, preload)
+        stiffness = self._stiffness(stiffness, preload)
         spec = JointSpec(kind=kind, nodes=tuple(nodes), basis=basis,
                          stiffness=stiffness, idealization=idealization)
         self._require_coincident(spec.nodes, f"joint {spec.nodes}")
@@ -183,12 +186,7 @@ class Model:
             raise ModelError(f"unknown support kind {kind!r}")
         if kind != "rigid" and basis is None:
             raise ModelError(f"{kind} support needs a direction basis")
-        if preload is not None and stiffness is None:
-            raise ModelError("a preload needs an elastic stiffness to act through")
-        if stiffness is not None and not isinstance(stiffness, JointStiffness):
-            stiffness = JointStiffness(stiffness, preload)
-        elif isinstance(stiffness, JointStiffness) and preload is not None:
-            stiffness = JointStiffness(stiffness.matrix, preload)
+        stiffness = self._stiffness(stiffness, preload)
         if kind == "elastic" and stiffness is None:
             raise ModelError("elastic support needs a stiffness matrix")
         self.supports[node] = SupportSpec(node=node, kind=kind, basis=basis, stiffness=stiffness)
@@ -264,4 +262,5 @@ class Model:
         m.supports = dict(self.supports)
         m.load_points = dict(self.load_points)
         m.end_effector = self.end_effector
+        m._extent = self._extent
         return m

@@ -6,6 +6,7 @@ Node ids are strings. Parse errors carry the path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -144,6 +145,8 @@ class _Reader:
     def number(self) -> float:
         if not isinstance(self.data, (int, float)) or isinstance(self.data, bool):
             self.fail("expected a number")
+        if not math.isfinite(self.data):
+            self.fail("expected a finite number")
         return float(self.data)
 
     def vector(self, size: int) -> list:

@@ -16,7 +16,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .core import (JointStiffness, _transport6, block_rotation,
+from .core import (JointStiffness, _rotate_blocks, _transport6, block_rotation,
                    joint_basis_preset, rotation_matrix)
 from .elements import LinkStiffness
 from .errors import ModelError
@@ -319,15 +319,13 @@ def rotated_model(model: Model, R) -> Model:
     for node, pos in model.positions.items():
         out.add_node(node, R @ pos)
     for link in model.flexible_links:
-        Q4 = np.kron(np.eye(4), R)
-        out.flexible_links.append(LinkStiffness(Q4 @ link.K @ Q4.T, link.nodes))
+        out.flexible_links.append(LinkStiffness(_rotate_blocks(link.K, R), link.nodes))
     out.rigid_links = list(model.rigid_links)
     for platform in model.platforms:
         if platform.kind == "rigid":
             out.platforms.append(platform)
         else:
-            Q4 = np.kron(np.eye(4), R)
-            rotated = tuple(LinkStiffness(Q4 @ k.K @ Q4.T, k.nodes)
+            rotated = tuple(LinkStiffness(_rotate_blocks(k.K, R), k.nodes)
                             for k in platform.stiffnesses)
             out.platforms.append(PlatformSpec(kind="flexible", clamps=platform.clamps,
                                               end=platform.end, stiffnesses=rotated))

@@ -65,6 +65,61 @@ def random_chain(rng, n_links: int, joint_stiffness: float | None = None) -> msa
     return m
 
 
+def flexible_platform_model() -> msakit.Model:
+    """A platform on two virtual beam links, each clamp welded to a grounded node."""
+    m = msakit.Model()
+    m.add_node("c0", [1.0, 0, 0])
+    m.add_node("c1", [-1.0, 0, 0])
+    m.add_node("e", [0.0, 0, 0])
+    m.add_node("g0", [1.0, 0, 0])
+    m.add_node("g1", [-1.0, 0, 0])
+    K = {}
+    for clamp in ("c0", "c1"):
+        d = m.position_of("e") - m.position_of(clamp)
+        L = np.linalg.norm(d)
+        K[clamp] = msakit.beam_stiffness(
+            msakit.BeamSection(L=L, axis=d / L, **section_kwargs()))
+    m.add_flexible_platform(K, "e")
+    m.add_joint("rigid", ("c0", "g0"))
+    m.add_joint("rigid", ("c1", "g1"))
+    m.add_support("g0", "rigid")
+    m.add_support("g1", "rigid")
+    m.set_end_effector("e")
+    return m
+
+
+def sprung_model() -> msakit.Model:
+    """Two beams on a preloaded torsion joint, on a universal elastic support."""
+    m = msakit.Model()
+    m.add_node("a", [0, 0, 0])
+    m.add_node("b", [0.5, 0, 0])
+    m.add_node("c", [0.5, 0, 0])
+    m.add_node("d", [1.0, 0, 0])
+    m.add_beam("a", "b", **section_kwargs())
+    m.add_beam("c", "d", **section_kwargs())
+    m.add_joint("elastic", ("b", "c"), basis=msakit.joint_basis_preset("revolute_z"),
+                stiffness=[[123.0]], preload=[0, 0, 0, 0, 0, 1.0])
+    m.add_support("a", "elastic", basis=msakit.joint_basis_preset("universal"),
+                  stiffness=np.diag([10.0, 20.0]))
+    m.set_end_effector("d")
+    return m
+
+
+def stack_dense(blocks, variables) -> np.ndarray:
+    """Vertically stack several blocks over a shared variable ordering."""
+    parts = [b.dense(variables)[0] for b in blocks]
+    return np.vstack(parts) if parts else np.zeros((0, 6 * len(variables)))
+
+
+def entries_dense(block, variables) -> np.ndarray:
+    """A block's rows scattered entry by entry from `block.entries`."""
+    col = {var: 6 * k for k, var in enumerate(variables)}
+    M = np.zeros((block.rows, 6 * len(variables)))
+    for row, var, sub in block.entries:
+        M[row:row + sub.shape[0], col[var]:col[var] + 6] += sub
+    return M
+
+
 def block_residual(block, values: dict) -> np.ndarray:
     """Evaluate a block's rows at {("W"|"t", node): 6-vector}; zero means satisfied."""
     r = -block.rhs.copy()

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 import msakit
+from msakit import assembly
 from msakit.core import block_rotation
 
-from helpers import cantilever, dense_audit, random_chain, rel_fro, section_kwargs
+from helpers import (cantilever, dense_audit, entries_dense, flexible_platform_model,
+                     random_chain, rel_fro, section_kwargs, sprung_model, stack_dense)
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
@@ -115,6 +117,25 @@ class TestAssemble:
     def test_non_square_rejected_with_breakdown(self):
         with pytest.raises(msakit.ModelError, match="not square"):
             duplicated_joint().assemble()
+
+    def test_node_claimed_by_two_connections_rejected(self):
+        # A pinned branch e-f hung from node b, which the weld b-c already
+        # claims: square, and it used to assemble and shift Kc silently.
+        m = msakit.Model()
+        for node, x, y in (("a", 0, 0), ("b", 0.5, 0), ("c", 0.5, 0), ("d", 1.0, 0),
+                           ("e", 0.5, 0), ("f", 0.5, 0.4)):
+            m.add_node(node, [x, y, 0])
+        for i, j in (("a", "b"), ("c", "d"), ("e", "f")):
+            m.add_beam(i, j, **section_kwargs())
+        m.add_joint("rigid", ("b", "c"))
+        m.add_joint("passive", ("b", "e"), basis=RZ)
+        m.add_support("a", "rigid")
+        m.set_end_effector("d")
+        with pytest.raises(msakit.ModelError,
+                           match=r"node 'b' belongs to both joint<b,c> and joint<b,e>.*add_junction"):
+            m.assemble()
+        report = m.check()
+        assert report.square and report.rows == 72
 
     def test_joint_nodes_must_coincide(self):
         model, _ = cantilever()
@@ -413,6 +434,13 @@ class TestCheckModel:
         assert report.mechanism_nodes == ["q0", "q1"]
         assert cantilever()[0].check().mechanism_nodes == []
 
+    def test_models_without_equations(self):
+        assert msakit.Model().check().summary().startswith("0 equations / 0 unknowns")
+        m = msakit.Model()
+        m.add_node("a", [0, 0, 0])
+        report = m.check()
+        assert (report.rows, report.mechanisms, report.dangling) == (0, 12, ["a"])
+
     def test_row_kind_partition_is_complete(self):
         model, _ = cantilever()
         report = model.check()
@@ -447,3 +475,42 @@ def test_bordered_solve_matches_dense_svd_oracle(name):
         oracle["a_rank"], oracle["locked"], oracle["infinite"])
     if not diag.infinite:
         assert rel_fro(result.kc, oracle["kc"]) <= 1e-8
+
+
+def pinned_beam():
+    """A beam on a passive revolute support."""
+    m = msakit.Model()
+    m.add_node("a", [0, 0, 0])
+    m.add_node("b", [1.0, 0.2, 0])
+    m.add_beam("a", "b", **section_kwargs())
+    m.add_support("a", "passive", basis=RZ)
+    m.set_end_effector("b")
+    return m
+
+
+AGGREGATION_MODELS = {
+    "navaro leg": msakit.build_navaro_leg,
+    "navaro": msakit.build_navaro,
+    "rigid random chain": lambda: random_chain(np.random.default_rng(3), 6),
+    "elastic random chain": lambda: random_chain(np.random.default_rng(3), 6, 1e4),
+    "pendulum chain": lambda: pendulum_chain(2),
+    "flexible platform": flexible_platform_model,
+    "passive support": pinned_beam,
+    "elastic support and preloaded joint": sprung_model,
+    "elastic support lever": locked_lever,
+}
+
+
+@pytest.mark.parametrize("name", AGGREGATION_MODELS)
+def test_aggregation_matches_dense_oracle(name):
+    model = AGGREGATION_MODELS[name]()
+    system = model.assemble()
+    blocks = assembly._emit_blocks(model)
+    variables = ([msakit.wrench_var(n) for n in system.nodes]
+                 + [msakit.deflection_var(n) for n in system.nodes])
+    dense = stack_dense(blocks, variables)
+    np.testing.assert_array_equal(dense, np.vstack([entries_dense(b, variables) for b in blocks]))
+    np.testing.assert_array_equal(system.matrix.toarray(), dense)
+    assert system.matrix.nnz == np.count_nonzero(dense)
+    np.testing.assert_array_equal(system.rhs, np.concatenate([b.rhs for b in blocks]))
+    assert system.row_meta == [(b.source, kind) for b in blocks for kind in b.row_kinds()]

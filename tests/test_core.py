@@ -192,3 +192,24 @@ def test_block_rotation_shape():
     Q = block_rotation(R, 4)
     assert Q.shape == (12, 12)
     np.testing.assert_allclose(Q @ Q.T, np.eye(12), atol=1e-14)
+
+
+def _nan_basis():
+    rigid = np.eye(6)[:5].copy()
+    rigid[0, 0] = np.nan
+    return msakit.JointBasis(rigid, np.eye(6)[5:])
+
+
+@pytest.mark.parametrize("stiffness, basis", [
+    (lambda: [[np.nan]], lambda: msakit.joint_basis_preset("revolute_z")),
+    (lambda: [[np.inf]], lambda: msakit.joint_basis_preset("revolute_z")),
+    (lambda: [[100.0]], _nan_basis),
+], ids=["nan-stiffness", "inf-stiffness", "nan-basis"])
+def test_non_finite_joint_data_rejected_when_added(stiffness, basis):
+    # NaN fails every comparison, so each constructor tests finiteness itself.
+    m = msakit.Model()
+    m.add_node("b", [1.0, 0, 0])
+    m.add_node("c", [1.0, 0, 0])
+    with pytest.raises(ValueError, match="non-finite"):
+        m.add_joint("elastic", ("b", "c"), basis=basis(), stiffness=stiffness())
+    assert m.connections == []

@@ -7,7 +7,7 @@ import pytest
 import msakit
 from msakit.cli import main
 
-from helpers import section_kwargs
+from helpers import flexible_platform_model, section_kwargs, sprung_model
 
 
 def cantilever_doc(load=None) -> dict:
@@ -59,6 +59,22 @@ class TestParse:
             msakit.parse_model(json.dumps(data))
         assert "stiffness" in err.value.path
 
+    @pytest.mark.parametrize("field, value", [
+        ("stiffness", [[float("nan")]]),
+        ("stiffness", [[float("inf")]]),
+        ("basis", {"rigid": [[float("nan"), 0, 0, 0, 0, 0]] + np.eye(6)[1:5].tolist(),
+                   "free": [[0, 0, 0, 0, 0, 1.0]]}),
+    ], ids=["nan-stiffness", "inf-stiffness", "nan-basis"])
+    def test_non_finite_joint_data_rejected(self, field, value):
+        data = cantilever_doc()
+        data["nodes"].append({"id": "c", "position": [1.0, 0.0, 0.0]})
+        joint = {"type": "elastic", "nodes": ["b", "c"], "basis": "revolute_z",
+                 "stiffness": [[100.0]]}
+        data["joints"] = [{**joint, field: value}]
+        with pytest.raises(msakit.FormatError) as err:
+            msakit.parse_model(json.dumps(data))
+        assert err.value.path.startswith(f"$.joints[0].{field}")
+
     def test_asymmetric_matrix_rejected(self):
         K = msakit.beam_stiffness(
             msakit.BeamSection(L=1.0, axis=[1, 0, 0], **section_kwargs())).K.copy()
@@ -109,18 +125,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(s1.rhs, s2.rhs)
 
     def test_rich_model_round_trip(self):
-        m = msakit.Model()
-        m.add_node("a", [0, 0, 0])
-        m.add_node("b", [0.5, 0, 0])
-        m.add_node("c", [0.5, 0, 0])
-        m.add_node("d", [1.0, 0, 0])
-        m.add_beam("a", "b", **section_kwargs())
-        m.add_beam("c", "d", **section_kwargs())
-        m.add_joint("elastic", ("b", "c"), basis=msakit.joint_basis_preset("revolute_z"),
-                    stiffness=[[123.0]], preload=[0, 0, 0, 0, 0, 1.0])
-        m.add_support("a", "elastic", basis=msakit.joint_basis_preset("universal"),
-                      stiffness=np.diag([10.0, 20.0]))
-        m.set_end_effector("d")
+        m = sprung_model()
         doc = msakit.document_from_model(m)
         again = msakit.parse_model(msakit.serialize_model(doc))
         assert again == doc
@@ -137,24 +142,7 @@ class TestRoundTrip:
         assert (s1.matrix != s2.matrix).nnz == 0
 
     def test_flexible_platform_document(self):
-        m = msakit.Model()
-        m.add_node("c0", [1.0, 0, 0])
-        m.add_node("c1", [-1.0, 0, 0])
-        m.add_node("e", [0.0, 0, 0])
-        m.add_node("g0", [1.0, 0, 0])
-        m.add_node("g1", [-1.0, 0, 0])
-        K = {}
-        for clamp in ("c0", "c1"):
-            d = m.position_of("e") - m.position_of(clamp)
-            L = np.linalg.norm(d)
-            K[clamp] = msakit.beam_stiffness(
-                msakit.BeamSection(L=L, axis=d / L, **section_kwargs()))
-        m.add_flexible_platform(K, "e")
-        m.add_joint("rigid", ("c0", "g0"))
-        m.add_joint("rigid", ("c1", "g1"))
-        m.add_support("g0", "rigid")
-        m.add_support("g1", "rigid")
-        m.set_end_effector("e")
+        m = flexible_platform_model()
         doc = msakit.document_from_model(m)
         again = msakit.parse_model(msakit.serialize_model(doc))
         assert again == doc

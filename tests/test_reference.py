@@ -23,8 +23,15 @@ class TestLegBuilder:
         assert ps.A.shape == (114, 114)
 
     def test_aggregated_coefficient_blocks(self):
+        # Wrench/deflection columns split across constraint rows (S, K) and
+        # load rows (E, F).
         system = msakit.build_navaro_leg().assemble()
-        blocks = system.coefficient_blocks()
+        M, n = system.matrix, 6 * system.n_nodes
+        load = np.zeros(M.shape[0], dtype=bool)
+        for rows in system.load_rows.values():
+            load[rows] = True
+        blocks = {"S": M[~load][:, :n], "K": M[~load][:, n:],
+                  "E": M[load][:, :n], "F": M[load][:, n:]}
         assert blocks["S"].shape == (114, 60)
         assert blocks["K"].shape == (114, 60)
         assert blocks["E"].shape == (6, 60)
