@@ -7,8 +7,8 @@ configurations for full internal states and support reactions.
 """
 from .assembly import (CartesianStiffness, GlobalSystem, ModelReport,
                        PartitionedSystem, SolverDiagnostics, State, assemble,
-                       cartesian_stiffness, check_model, departition,
-                       partition, solve_loaded)
+                       cartesian_stiffness, check_model, partition,
+                       solve_loaded)
 from .boundary import (elastic_support_equations, equilibrium_residual,
                        external_load_equations, passive_support_equations,
                        rigid_support_equations, support_reaction)
@@ -40,7 +40,7 @@ __all__ = [
     "NavaroParams", "PartitionedSystem", "SolverDiagnostics", "State",
     "TransportMatrix", "Wrench", "actuated_joint_equations", "assemble",
     "beam_stiffness", "build_navaro", "build_navaro_leg", "cartesian_stiffness",
-    "check_model", "deflection_var", "departition", "document_from_model",
+    "check_model", "deflection_var", "document_from_model",
     "elastic_joint_equations", "elastic_support_equations",
     "equilibrium_residual", "external_load_equations",
     "flexible_link_equations", "flexible_platform_equations",

@@ -92,7 +92,11 @@ def _support_block(support) -> EquationBlock:
 
 @dataclass(eq=False)
 class GlobalSystem:
-    """Assembled sparse block system over stacked wrench and deflection unknowns."""
+    """Assembled sparse block system over stacked wrench and deflection unknowns.
+
+    Queries keep one analysis (partition and factorization) per end node, so
+    the matrix must not change once the system has been queried.
+    """
 
     nodes: list
     positions: dict
@@ -108,6 +112,7 @@ class GlobalSystem:
 
     def __post_init__(self):
         self._index = {node: k for k, node in enumerate(self.nodes)}
+        self._analyses: dict = {}
 
     @property
     def n_nodes(self) -> int:
@@ -139,11 +144,11 @@ class GlobalSystem:
             out[source] = out.get(source, 0) + 1
         return out
 
-    def _scaled_matrix(self) -> scipy.sparse.csr_matrix:
-        n = 6 * self.n_nodes
-        scale = np.ones(2 * n)
-        scale[n:] = 1.0 / self.stiff_scale
-        return (self.matrix @ scipy.sparse.diags(scale)).tocsr()
+    def _scaled_values(self) -> np.ndarray:
+        """The matrix entries in CSR order, deflection columns divided by
+        `stiff_scale` so that wrench and deflection entries are comparable."""
+        M = self.matrix
+        return M.data * np.where(M.indices >= 6 * self.n_nodes, 1.0 / self.stiff_scale, 1.0)
 
 
 def _concat(arrays: list, dtype) -> np.ndarray:
@@ -213,8 +218,9 @@ def assemble(model: Model) -> GlobalSystem:
     """Validate the model structurally and aggregate its equation blocks.
 
     Raises ModelError for dangling nodes, a row/column mismatch (the error
-    carries a per-source row breakdown to make miscounts findable) or a node
-    that two connections claim.
+    carries a per-source row breakdown to make miscounts findable), a node
+    that two connections claim or a node that only one block touches (a
+    free link end: its wrench rows are missing even where the count closes).
     """
     if not model.positions:
         raise ModelError("model has no nodes")
@@ -237,6 +243,10 @@ def assemble(model: Model) -> GlobalSystem:
                     f"node {node!r} belongs to both {owner[node]} and {block.source}; "
                     "join three or more link ends at one point with add_junction")
             owner[node] = block.source
+    loose = [node for node, count in system.connectivity.items() if count == 1]
+    if loose:
+        raise ModelError(f"nodes touched by one block only: {loose!r}; "
+                         "give each a connection, a support or a load point")
     return system
 
 
@@ -246,7 +256,8 @@ class PartitionedSystem:
 
     A holds every row except the end load rows, over wrench and internal
     deflection columns; B and D hold the end-node deflection columns; C holds
-    the end load rows. Permutations are kept so the split is reversible.
+    the end load rows. `row_perm` and `col_perm` list the original rows and
+    columns in that order (A's first), so the split is reversible.
     """
 
     A: scipy.sparse.csr_matrix
@@ -260,42 +271,44 @@ class PartitionedSystem:
     shape: tuple
 
 
-def partition(system: GlobalSystem, end_node: Hashable | None = None) -> PartitionedSystem:
+def _split(system: GlobalSystem, end: Hashable | None, values: np.ndarray) -> PartitionedSystem:
+    """Partition the entries `values` of system.matrix (in its CSR order) by
+    one row map and one column map that move the end node's load rows and
+    deflection columns, each a run of six, last; with no end node A is the
+    whole matrix."""
+    M = system.matrix
+    (rows, cols), k = M.shape, 0 if end is None else 6
+    r0 = 0 if end is None else int(system.load_rows[end][0])
+    c0 = 0 if end is None else system.deflection_cols(end).start
+    row_perm = np.r_[:r0, r0 + k:rows, r0:r0 + k]
+    col_perm = np.r_[:c0, c0 + k:cols, c0:c0 + k]
+    r = np.argsort(row_perm)[np.repeat(np.arange(rows), np.diff(M.indptr))]
+    c = np.argsort(col_perm)[M.indices]
+    ra, ca = rows - k, cols - k
+    in_a = (r < ra) & (c < ca)
+    # The maps keep A's rows and columns in order, so its entries stay in CSR order.
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r[in_a], minlength=ra))])
+    A = scipy.sparse.csr_matrix((values[in_a], c[in_a], indptr), shape=(ra, ca))
+    right, bottom = np.zeros((rows, k)), np.zeros((k, cols))    # B over D, C beside D
+    right[r[c >= ca], c[c >= ca] - ca] = values[c >= ca]
+    bottom[r[r >= ra] - ra, c[r >= ra]] = values[r >= ra]
+    return PartitionedSystem(A=A, B=right[:ra], C=bottom[:, :ca], D=right[ra:],
+                             b=system.rhs[row_perm[:ra]], row_perm=row_perm, col_perm=col_perm,
+                             end_node=end, shape=(rows, cols))
+
+
+def _end_node(system: GlobalSystem, end_node: Hashable | None) -> Hashable:
     end = system.end_effector if end_node is None else end_node
     if end is None:
         raise ModelError("no end node given and the system has no end effector")
     if end not in system.load_rows:
         raise ModelError(f"end node {end!r} has no external load rows")
-    rows, cols = system.shape
-    end_rows = system.load_rows[end]
-    other_rows = np.setdiff1d(np.arange(rows), end_rows)
-    end_cols = np.arange(cols)[system.deflection_cols(end)]
-    other_cols = np.setdiff1d(np.arange(cols), end_cols)
-    M = system.matrix
-    return PartitionedSystem(
-        A=M[other_rows][:, other_cols].tocsr(),
-        B=M[other_rows][:, end_cols].toarray(),
-        C=M[end_rows][:, other_cols].toarray(),
-        D=M[end_rows][:, end_cols].toarray(),
-        b=system.rhs[other_rows],
-        row_perm=np.concatenate([other_rows, end_rows]),
-        col_perm=np.concatenate([other_cols, end_cols]),
-        end_node=end,
-        shape=(rows, cols),
-    )
+    return end
 
 
-def departition(ps: PartitionedSystem) -> scipy.sparse.csr_matrix:
-    """Reassemble the global matrix from a partition (bookkeeping identity)."""
-    top = scipy.sparse.hstack([ps.A, scipy.sparse.csr_matrix(ps.B)])
-    bottom = scipy.sparse.hstack([scipy.sparse.csr_matrix(ps.C), scipy.sparse.csr_matrix(ps.D)])
-    permuted = scipy.sparse.vstack([top, bottom]).tocsr()
-    rows, cols = ps.shape
-    row_inv = np.empty(rows, dtype=int)
-    row_inv[ps.row_perm] = np.arange(rows)
-    col_inv = np.empty(cols, dtype=int)
-    col_inv[ps.col_perm] = np.arange(cols)
-    return permuted[row_inv][:, col_inv].tocsr()
+def partition(system: GlobalSystem, end_node: Hashable | None = None) -> PartitionedSystem:
+    """The system's blocks around an end node, in physical units."""
+    return _split(system, _end_node(system, end_node), system.matrix.data)
 
 
 @dataclass(eq=False)
@@ -370,13 +383,15 @@ class _Factorization:
     least-squares solution from the same LU.
     """
 
-    def __init__(self, A: scipy.sparse.spmatrix):
-        A = A.tocsc()
+    def __init__(self, A: scipy.sparse.csr_matrix):
         self.n = A.shape[0]
-        row_max = abs(A).max(axis=1).toarray().ravel()
+        row = np.repeat(np.arange(self.n), np.diff(A.indptr))
+        row_max = np.zeros(self.n)
+        np.maximum.at(row_max, row, np.abs(A.data))
         row_max[row_max == 0.0] = 1.0
         self._row_scale = 1.0 / row_max
-        self._A = self._M = (scipy.sparse.diags(self._row_scale) @ A).tocsc()
+        self._A = self._M = scipy.sparse.csr_matrix(
+            (A.data * self._row_scale[row], A.indices, A.indptr), shape=A.shape).tocsc()
         self._lu, tiny = _lu(self._A)
         self.pseudo_inverse = self._lu is None or tiny > 0
         self.null_right = self.null_left = np.zeros((self.n, 0))
@@ -453,6 +468,113 @@ class _Factorization:
         return X - N @ (N.T @ X)
 
 
+# Share of a load outside the system's range above which it is not resisted.
+UNRESISTED_RTOL = 1e-6
+# Veltkamp's constant 2**27 + 1: it splits a double into two halves whose
+# products are exact.
+_SPLIT = 134217729.0
+
+
+def _halves(a: np.ndarray) -> tuple:
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _residual(M: scipy.sparse.csr_matrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - M x, as accurate as if computed in twice the working precision:
+    error-free products and a compensated sum per row (Dot2 of Ogita, Rump
+    and Oishi, SIAM J. Sci. Comput. 26, 2005).
+
+    A refinement step cannot remove an error that the rounding of its
+    residual hides. In a long chain the deflections carry rigid motions many
+    orders above the wrenches, and the rounding of K t in the link rows
+    then hides errors that unbalance the reactions.
+    """
+    v = x[M.indices]
+    p = M.data * v
+    mh, ml = _halves(M.data)
+    vh, vl = _halves(v)
+    err = ((mh * vh - p) + mh * vl + ml * vh) + ml * vl
+    counts = np.diff(M.indptr)
+    row = np.repeat(np.arange(M.shape[0]), counts)
+    terms = np.zeros((counts.max(initial=0), M.shape[0]))
+    terms[np.arange(p.size) - np.repeat(M.indptr[:-1], counts), row] = p
+    total, comp = -b, np.bincount(row, err, minlength=M.shape[0])
+    for term in terms:
+        s = total + term
+        z = s - total
+        comp += (total - (s - z)) + (term - z)
+        total = s
+    return -(total + comp)
+
+
+class _Analysis:
+    """A system partitioned around one end node, with one factorization of
+    its internal block that serves Kc and every loaded solve.
+
+    In scaled units, and with the end node's load rows and deflection
+    columns last, the system reads [A B; C D] [z; t] = [b_o; b_e]. With
+    Q = A^+ B, S = D - C Q is the Schur complement (Kc = stiff_scale * S).
+    Every z = A^+ (b_o - B t) + N c solves the held rows when their
+    right-hand side lies in range(A), where N and L are the null bases of A
+    and A^T (empty when A is regular). That leaves a (6 + d) system in
+    (t, c): [S  C N; L^T B  0] [t; c] = [b_e - C A^+ b_o; L^T b_o]. A load
+    that this small system cannot meet is not resisted. With no end node,
+    A is the whole matrix and the small system is L^T b_o alone.
+    """
+
+    def __init__(self, system: GlobalSystem, end: Hashable | None):
+        M, values = system.matrix, system._scaled_values()
+        self._M = scipy.sparse.csr_matrix((values, M.indices, M.indptr), shape=M.shape)
+        self.parts = p = _split(system, end, values)
+        self.fac = fac = _Factorization(p.A)
+        self.Q = fac.solve(p.B)
+        self.S = p.D - p.C @ self.Q
+        N = fac.null_right
+        self._K = np.block([[self.S, p.C @ N],
+                            [fac.outside_range(p.B), np.zeros((N.shape[1], N.shape[1]))]])
+        self._K_pinv = np.linalg.pinv(self._K, rcond=PIVOT_RTOL)
+
+    def _block_solve(self, b: np.ndarray) -> tuple:
+        """Solution of the scaled system by block back-substitution, and the
+        residual of the small system with its scale, the largest entry of
+        the row-equilibrated right-hand side."""
+        p, fac = self.parts, self.fac
+        b_o, b_e = b[p.row_perm[:fac.n]], b[p.row_perm[fac.n:]]
+        y = fac.solve(b_o)
+        rhs = np.concatenate([b_e - p.C @ y, fac.outside_range(b_o)])
+        tc = self._K_pinv @ rhs
+        t, c = tc[:b_e.size], tc[b_e.size:]
+        x = np.empty_like(b)
+        x[p.col_perm] = np.concatenate([y - self.Q @ t + fac.null_right @ c, t])
+        scale = max(float(np.max(np.abs(fac._scale_rhs(b_o)), initial=0.0)),
+                    float(np.max(np.abs(b_e), initial=0.0)))
+        return x, self._K @ tc - rhs, scale
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Scaled solution of the system with right-hand side `b`, refined
+        once on the scaled matrix; ModelError when the load is not resisted."""
+        x, outside, scale = self._block_solve(b)
+        share = float(np.max(np.abs(outside), initial=0.0)) / max(scale, 1e-300)
+        if share > UNRESISTED_RTOL:
+            raise ModelError(
+                "load is not resisted by the structure (unresisted direction: "
+                f"{share:.3e} of the load lies outside the system's range)")
+        # One step of refinement: with an accurate residual it converges.
+        return x + self._block_solve(_residual(self._M, x, b))[0]
+
+
+def _analysis(system: GlobalSystem, end: Hashable | None) -> _Analysis:
+    """The system's analysis around `end`, built on first use."""
+    rows, cols = system.shape
+    if rows != cols:
+        raise ModelError(f"system is not square ({rows} rows, {cols} columns)")
+    if end not in system._analyses:
+        system._analyses[end] = _Analysis(system, end)
+    return system._analyses[end]
+
+
 def cartesian_stiffness(system: GlobalSystem,
                         end_node: Hashable | None = None) -> CartesianStiffness:
     """End-point stiffness by eliminating all internal unknowns.
@@ -462,25 +584,9 @@ def cartesian_stiffness(system: GlobalSystem,
     Directions in which the end node is rigidly tied to ground come back as
     an infinite-stiffness sentinel rather than numeric overflow.
     """
-    rows, cols = system.shape
-    if rows != cols:
-        raise ModelError(f"system is not square ({rows} rows, {cols} columns)")
-    end = system.end_effector if end_node is None else end_node
-    kappa = system.stiff_scale
-    M = system._scaled_matrix()
-    end_rows = system.load_rows.get(end)
-    if end is None or end_rows is None:
-        raise ModelError(f"end node {end!r} has no external load rows")
-    end_cols = np.arange(cols)[system.deflection_cols(end)]
-    other_rows = np.setdiff1d(np.arange(rows), end_rows)
-    other_cols = np.setdiff1d(np.arange(cols), end_cols)
-    A = M[other_rows][:, other_cols]
-    B = M[other_rows][:, end_cols].toarray()
-    C = M[end_rows][:, other_cols].toarray()
-    D = M[end_rows][:, end_cols].toarray()
-
-    fac = _Factorization(A)
-    kc = kappa * (D - C @ fac.solve(B))
+    analysis = _analysis(system, _end_node(system, end_node))
+    fac, B = analysis.fac, analysis.parts.B
+    kc = system.stiff_scale * analysis.S
 
     diag = SolverDiagnostics(
         a_size=fac.n,
@@ -495,15 +601,11 @@ def cartesian_stiffness(system: GlobalSystem,
         lock_scale = max(float(np.max(np.abs(fac._scale_rhs(B)))), 1e-300)
         _, s, vt = np.linalg.svd(fac.outside_range(B), full_matrices=False)
         locked = vt[s > 1e-8 * lock_scale]
+        if locked.shape[0] > 0:
+            diag.locked, diag.locked_directions = True, locked
         if locked.shape[0] == 6:
             diag.infinite = True
-            diag.locked = True
-            diag.locked_directions = locked
-            diag.kc_rank = 6
             return CartesianStiffness(kc=np.full((6, 6), np.inf), diagnostics=diag)
-        if locked.shape[0] > 0:
-            diag.locked = True
-            diag.locked_directions = locked
 
     norm = np.linalg.norm(kc)
     asym = np.linalg.norm(kc - kc.T)
@@ -581,23 +683,12 @@ def solve_loaded(system: GlobalSystem, loads=None) -> State:
     error, ||Mx - b|| / (||M|| ||x|| + ||b||) in the infinity norm, is at most
     RESIDUAL_RTOL and is reported as `residual`.
     """
-    rows, cols = system.shape
-    if rows != cols:
-        raise ModelError(f"system is not square ({rows} rows, {cols} columns)")
     applied = _normalize_loads(system, loads)
     b = system.rhs.copy()
     for node, w in applied.items():
         b[system.load_rows[node]] += w
 
-    fac = _Factorization(system._scaled_matrix())
-    if fac.rank < fac.n:
-        outside = float(np.max(np.abs(fac.outside_range(b))))
-        scale = max(float(np.max(np.abs(fac._scale_rhs(b)))), 1e-300)
-        if outside > 1e-6 * scale:
-            raise ModelError(
-                "load is not resisted by the structure (unresisted direction: "
-                f"{outside / scale:.3e} of the load lies outside the system's range)")
-    x = fac.solve(b)
+    x = _analysis(system, system.end_effector).solve(b)
     n = 6 * system.n_nodes
     x[n:] /= system.stiff_scale
 
@@ -635,6 +726,7 @@ class ModelReport:
     dangling: list
     connectivity: dict
     mechanism_nodes: list            # nodes that move in a mechanism of the held structure
+    self_stress: int = 0             # wrench-only null vectors of the held structure
 
     @property
     def well_posed(self) -> bool:
@@ -645,11 +737,11 @@ class ModelReport:
                 f"{self.mechanisms} mechanisms, {self.redundant} redundant constraints")
 
 
-def _square(M: scipy.sparse.spmatrix) -> scipy.sparse.csc_matrix:
+def _square(M: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
     """M padded to square with zero rows or columns; the rank is unchanged."""
     size = max(M.shape)
-    M = M.tocoo()
-    return scipy.sparse.csc_matrix((M.data, (M.row, M.col)), shape=(size, size))
+    indptr = np.concatenate([M.indptr, np.full(size - M.shape[0], M.indptr[-1])])
+    return scipy.sparse.csr_matrix((M.data, M.indices, indptr), shape=(size, size))
 
 
 def _mechanism_nodes(system: GlobalSystem, null: np.ndarray, cols: np.ndarray) -> list:
@@ -665,33 +757,38 @@ def _mechanism_nodes(system: GlobalSystem, null: np.ndarray, cols: np.ndarray) -
 def check_model(model: Model) -> ModelReport:
     """Audit a model without requiring it to be solvable.
 
-    Mechanisms count the zero-energy freedoms left when the end effector is
-    held (nullity of the internal block); for models with no end effector
-    they are the nullity of the whole matrix. Non-square systems are padded
-    to square with zero rows or columns, so one factorization route serves
-    every model.
+    The null space of the internal block (the structure with the end
+    effector held; the whole matrix for models with no end effector) splits
+    into mechanisms, the rank of its deflection part, and states of
+    self-stress, null vectors that move no deflection and only leave
+    reactions indeterminate. A direction counts as moving when more than
+    MECHANISM_SHARE of its squared norm lies on deflections. Non-square
+    systems are padded to square with zero rows or columns, so one
+    factorization route serves every model.
     """
     system = _build_system(model, _emit_blocks(model))
     rows, unknowns = system.shape
     dangling = [node for node, count in system.connectivity.items() if count == 0]
 
-    rank = 0
+    rank = self_stress = 0
     mechanisms = unknowns
     mechanism_nodes: list = []
     if rows and unknowns:
-        M = system._scaled_matrix()
-        full = _Factorization(_square(M))
+        values = system._scaled_values()
+        full = _Factorization(_square(_split(system, None, values).A))
         rank = full.rank
         end = system.end_effector
         if end is not None and end in system.load_rows:
-            keep_rows = np.setdiff1d(np.arange(rows), system.load_rows[end])
-            keep_cols = np.setdiff1d(np.arange(unknowns),
-                                     np.arange(unknowns)[system.deflection_cols(end)])
-            held = _Factorization(_square(M[keep_rows][:, keep_cols]))
+            parts = _split(system, end, values)
+            cols = parts.col_perm[:parts.A.shape[1]]
+            held = _Factorization(_square(parts.A))
         else:
-            keep_cols, held = np.arange(unknowns), full
-        mechanisms = keep_cols.size - held.rank
-        mechanism_nodes = _mechanism_nodes(system, held.null_right[:keep_cols.size], keep_cols)
+            cols, held = np.arange(unknowns), full
+        null = held.null_right[:cols.size]
+        moving = np.linalg.svd(null[cols >= 6 * system.n_nodes], compute_uv=False)
+        mechanisms = int(np.sum(moving ** 2 > MECHANISM_SHARE))
+        self_stress = cols.size - held.rank - mechanisms
+        mechanism_nodes = _mechanism_nodes(system, null, cols)
     return ModelReport(
         nodes=system.n_nodes,
         unknowns=unknowns,
@@ -705,4 +802,5 @@ def check_model(model: Model) -> ModelReport:
         dangling=dangling,
         connectivity=system.connectivity,
         mechanism_nodes=mechanism_nodes,
+        self_stress=self_stress,
     )

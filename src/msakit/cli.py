@@ -107,6 +107,8 @@ def _cmd_check(args) -> int:
     print(report.summary())
     if report.mechanism_nodes:
         print(f"  mechanism nodes: {', '.join(map(str, report.mechanism_nodes))}")
+    if report.self_stress:
+        print(f"  states of self-stress: {report.self_stress}")
     for source, rows in report.rows_by_source.items():
         print(f"  {source}: {rows} rows")
     print(f"  row classes: {report.rows_by_kind}")

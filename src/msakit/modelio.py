@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import JOINT_BASIS_PRESETS, make_joint_basis
+from .core import JOINT_BASIS_PRESETS, JointStiffness, make_joint_basis
 from .elements import LinkStiffness
 from .errors import FormatError
 from .model import Model
@@ -189,6 +189,22 @@ def _parse_basis(reader: _Reader):
     return {"rigid": rigid, "free": free}
 
 
+def _read_spring(r: _Reader, entry: dict) -> dict:
+    """`entry` with the basis, spring matrix (checked as JointStiffness checks
+    it) and preload of a joint or support, where the document gives them."""
+    if "basis" in r.data:
+        entry["basis"] = _parse_basis(r.child("basis"))
+    if "stiffness" in r.data:
+        entry["stiffness"] = r.child("stiffness").matrix()
+        try:
+            JointStiffness(np.array(entry["stiffness"]))
+        except ValueError as exc:
+            r.child("stiffness").fail(str(exc))
+    if "preload" in r.data:
+        entry["preload"] = r.child("preload").vector(6)
+    return entry
+
+
 def parse_model(text: str) -> ModelDocument:
     """Parse and validate a model document; raises FormatError with a path."""
     try:
@@ -284,13 +300,7 @@ def parse_model(text: str) -> ModelDocument:
                                     "idealization"),
                            required=("type", "nodes"))
             nodes = [known(r, n.string()) for n in r.child("nodes").items()]
-            entry: dict = {"type": kind, "nodes": nodes}
-            if "basis" in r.data:
-                entry["basis"] = _parse_basis(r.child("basis"))
-            if "stiffness" in r.data:
-                entry["stiffness"] = r.child("stiffness").matrix()
-            if "preload" in r.data:
-                entry["preload"] = r.child("preload").vector(6)
+            entry = _read_spring(r, {"type": kind, "nodes": nodes})
             if "idealization" in r.data:
                 ideal = r.child("idealization").string()
                 if ideal not in ("as-rigid", "as-elastic"):
@@ -305,14 +315,8 @@ def parse_model(text: str) -> ModelDocument:
             kind = r.child("type").string()
             if kind not in _SUPPORT_TYPES:
                 r.child("type").fail(f"unknown support type {kind!r}")
-            entry = {"node": known(r, r.child("node").string()), "type": kind}
-            if "basis" in r.data:
-                entry["basis"] = _parse_basis(r.child("basis"))
-            if "stiffness" in r.data:
-                entry["stiffness"] = r.child("stiffness").matrix()
-            if "preload" in r.data:
-                entry["preload"] = r.child("preload").vector(6)
-            doc.supports.append(entry)
+            doc.supports.append(_read_spring(
+                r, {"node": known(r, r.child("node").string()), "type": kind}))
 
     if "loads" in data:
         for r in root.child("loads").items():

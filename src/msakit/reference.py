@@ -11,7 +11,7 @@ topology itself is the modeled structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable
 
 import numpy as np
@@ -20,7 +20,7 @@ from .core import (JointStiffness, _rotate_blocks, _transport6, block_rotation,
                    joint_basis_preset, rotation_matrix)
 from .elements import LinkStiffness
 from .errors import ModelError
-from .model import Model, PlatformSpec, SupportSpec
+from .model import Model, PlatformSpec
 
 
 def tube_properties(outer_diameter: float, wall: float) -> tuple:
@@ -314,7 +314,6 @@ def rotated_model(model: Model, R) -> Model:
     are all conjugated; platform offsets follow the positions automatically.
     """
     R = np.asarray(R, dtype=float)
-    Q2 = block_rotation(R, 2)
     out = Model()
     for node, pos in model.positions.items():
         out.add_node(node, R @ pos)
@@ -334,27 +333,18 @@ def rotated_model(model: Model, R) -> Model:
             rotated_passive = tuple((n, b.rotated(R)) for n, b in spec.passive_nodes)
             out.add_junction(spec.rigid_nodes, rotated_passive)
         else:
-            out.connections.append(replace_basis(spec, R))
+            out.connections.append(_rotated_spring(spec, R))
     for support in model.supports.values():
-        basis = None if support.basis is None else support.basis.rotated(R)
-        stiff = support.stiffness
-        if stiff is not None and stiff.preload is not None:
-            stiff = JointStiffness(stiff.matrix, Q2 @ stiff.preload)
-        out.supports[support.node] = SupportSpec(node=support.node, kind=support.kind,
-                                                 basis=basis, stiffness=stiff)
+        out.supports[support.node] = _rotated_spring(support, R)
     out.load_points = dict(model.load_points)
     out.end_effector = model.end_effector
     return out
 
 
-def replace_basis(spec, R):
-    """Joint spec with its basis (and preload) rotated by R."""
-    from .joints import JointSpec
-
-    Q2 = block_rotation(R, 2)
+def _rotated_spring(spec, R):
+    """A joint or support spec with its basis and preload rotated by R."""
     basis = None if spec.basis is None else spec.basis.rotated(R)
     stiff = spec.stiffness
     if stiff is not None and stiff.preload is not None:
-        stiff = JointStiffness(stiff.matrix, Q2 @ stiff.preload)
-    return JointSpec(kind=spec.kind, nodes=spec.nodes, basis=basis,
-                     stiffness=stiff, idealization=spec.idealization)
+        stiff = JointStiffness(stiff.matrix, block_rotation(R, 2) @ stiff.preload)
+    return replace(spec, basis=basis, stiffness=stiff)

@@ -153,23 +153,39 @@ def _svd_rank(M: np.ndarray) -> int:
     return int(np.sum(s > ORACLE_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
 
 
+def _null_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of M, by dense SVD of
+    the row-equilibrated matrix."""
+    _, s, vt = scipy.linalg.svd(M * _row_scale(M))
+    rank = int(np.sum(s > ORACLE_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
+    return vt[rank:].T
+
+
 def dense_audit(model) -> dict:
-    """Ranks, mechanisms, locked directions and Kc of a model by dense SVD
-    and complete orthogonal decomposition (`gelsy`) of the scaled,
-    row-equilibrated system."""
+    """Ranks, mechanisms, states of self-stress, locked directions and Kc of
+    a model by dense SVD and complete orthogonal decomposition (`gelsy`) of
+    the scaled, row-equilibrated system. Mechanisms are the rank of the
+    deflection rows of the held block's null basis (a direction moves when
+    more than 1e-6 of its squared norm lies on deflections); the other null
+    vectors are states of self-stress."""
     from msakit import assembly
 
     system = assembly._build_system(model, assembly._emit_blocks(model))
-    M = system._scaled_matrix().toarray()
+    M = system.matrix.toarray()
     rows, cols = M.shape
+    n = 6 * system.n_nodes
+    M[:, n:] *= 1.0 / system.stiff_scale
     end_rows = system.load_rows[system.end_effector]
     end_cols = np.arange(cols)[system.deflection_cols(system.end_effector)]
     keep_rows = np.setdiff1d(np.arange(rows), end_rows)
     keep_cols = np.setdiff1d(np.arange(cols), end_cols)
     A = M[np.ix_(keep_rows, keep_cols)]
     rank, a_rank = _svd_rank(M), _svd_rank(A)
+    null = _null_basis(A)
+    moving = scipy.linalg.svdvals(null[keep_cols >= n])
+    mechanisms = int(np.sum(moving ** 2 > 1e-6))
     out = {"rank": rank, "redundant": rows - rank, "a_rank": a_rank,
-           "mechanisms": A.shape[1] - a_rank}
+           "mechanisms": mechanisms, "self_stress": null.shape[1] - mechanisms}
     if rows != cols:
         return out
     scale = _row_scale(A)

@@ -1,6 +1,7 @@
 """Global assembly, partitioning, stiffness extraction and loaded solves."""
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import msakit
 from msakit import assembly
@@ -137,6 +138,23 @@ class TestAssemble:
         report = m.check()
         assert report.square and report.rows == 72
 
+    def test_link_end_touched_by_one_block_rejected(self):
+        # A junction supplies the rows of a pinned branch e-f whose far end f
+        # is left free: square, but singular, and Kc used to shift by 0.36%.
+        m = msakit.Model()
+        for node, y in (("a", 0.0), ("b", 0.0), ("e", 0.0), ("f", 0.5)):
+            m.add_node(node, [0.0 if node == "a" else 1.0, y, 0])
+        m.add_beam("a", "b", **section_kwargs())
+        m.add_beam("e", "f", **section_kwargs())
+        m.add_support("a", "rigid")
+        m.set_end_effector("b")
+        m.add_junction(("b",), [("e", RZ)])
+        with pytest.raises(msakit.ModelError, match=r"one block only: \['f'\]"):
+            m.assemble()
+        report = m.check()
+        assert report.square and report.rows == 48
+        assert report.connectivity["f"] == 1
+
     def test_joint_nodes_must_coincide(self):
         model, _ = cantilever()
         with pytest.raises(msakit.ModelError, match="coincident"):
@@ -152,12 +170,27 @@ class TestAssemble:
 
 
 class TestPartition:
-    def test_round_trip_reassembles_exactly(self):
-        model, _ = cantilever()
-        system = model.assemble()
-        ps = msakit.partition(system, "b")
-        rebuilt = msakit.departition(ps)
-        assert (rebuilt != system.matrix).nnz == 0
+    @pytest.mark.parametrize("build, end", [(lambda: cantilever()[0], "b"),
+                                            (msakit.build_navaro, None),
+                                            (lambda: pendulum_chain(2), "q1")],
+                             ids=["cantilever", "navaro", "pendulum tip"])
+    def test_blocks_are_slices_of_the_matrix(self, build, end):
+        system = build().assemble()
+        ps = msakit.partition(system, end)
+        end = system.end_effector if end is None else end
+        M = system.matrix.toarray()
+        rows, cols = ps.row_perm, ps.col_perm
+        assert np.array_equal(np.sort(rows), np.arange(M.shape[0]))
+        assert np.array_equal(np.sort(cols), np.arange(M.shape[1]))
+        np.testing.assert_array_equal(rows[-6:], system.load_rows[end])
+        np.testing.assert_array_equal(cols[-6:], np.arange(M.shape[1])[system.deflection_cols(end)])
+        inner_rows, inner_cols = rows[:-6], cols[:-6]
+        np.testing.assert_array_equal(ps.A.toarray(), M[np.ix_(inner_rows, inner_cols)])
+        np.testing.assert_array_equal(ps.B, M[np.ix_(inner_rows, cols[-6:])])
+        np.testing.assert_array_equal(ps.C, M[np.ix_(rows[-6:], inner_cols)])
+        np.testing.assert_array_equal(ps.D, M[np.ix_(rows[-6:], cols[-6:])])
+        np.testing.assert_array_equal(ps.b, system.rhs[inner_rows])
+        assert ps.A.nnz == np.count_nonzero(ps.A.toarray())
 
     def test_cantilever_blocks(self):
         model, link = cantilever()
@@ -381,6 +414,95 @@ class TestSolveLoaded:
         expected = np.linalg.solve(kc, w)
         assert np.linalg.norm(state.end_deflection - expected) <= 1e-6 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("joint_stiffness", [1e4, 1e6])
+    def test_long_elastic_chains_solve_in_balance(self, seed, joint_stiffness):
+        # 250 beams: tip deflections carry rigid motions far above the link
+        # wrenches, which a residual rounded in working precision hides.
+        rng = np.random.default_rng(seed)
+        model = random_chain(rng, 250, joint_stiffness)
+        w = rng.normal(size=6) * 50
+        system = model.assemble()
+        kc = msakit.cartesian_stiffness(system).kc
+        state = msakit.solve_loaded(system, w)
+        expected = np.linalg.solve(kc, w)
+        assert np.linalg.norm(state.end_deflection - expected) <= 1e-6 * np.linalg.norm(expected)
+        assert msakit.equilibrium_residual(state) <= 2e-8 * np.linalg.norm(w)
+
+    def test_locked_end_carries_the_load_without_moving(self):
+        w = np.array([3.0, 10.0, -2.0, 0.5, 0.0, 1.0])
+        state = locked_end().solve(w)
+        np.testing.assert_allclose(state.end_deflection, np.zeros(6), atol=1e-20)
+        assert msakit.equilibrium_residual(state) <= 1e-12 * np.linalg.norm(w)
+
+    def test_locked_lever_turns_on_its_spring(self):
+        # A 0.5 m lever on a 100 N*m/rad torsion spring: a 10 N tip force
+        # turns it by 0.05 rad; an axial force moves nothing.
+        state = locked_lever().solve([0.0, 10.0, 0.0, 0.0, 0.0, 0.0])
+        assert state.end_deflection[5] == pytest.approx(0.05, rel=1e-12)
+        assert state.end_deflection[1] == pytest.approx(0.025, rel=1e-12)
+        axial = locked_lever().solve([10.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(axial.end_deflection, np.zeros(6), atol=1e-15)
+
+    def test_model_without_end_effector_solves(self):
+        sec = section_kwargs()
+        m = msakit.Model()
+        m.add_node("a", [0, 0, 0])
+        m.add_node("b", [1.0, 0, 0])
+        m.add_beam("a", "b", **sec)
+        m.add_support("a", "rigid")
+        m.add_load_point("b")
+        state = m.solve({"b": [0.0, 100.0, 0.0, 0.0, 0.0, 0.0]})
+        EI = sec["E"] * sec["Iz"]
+        assert state.end_deflection is None
+        assert state.deflection_at("b")[1] == pytest.approx(100.0 / (3 * EI), rel=1e-10)
+        assert state.residual <= 1e-9
+        pinned = msakit.Model()
+        pinned.add_node("a", [0, 0, 0])
+        pinned.add_node("b", [1.0, 0, 0])
+        pinned.add_beam("a", "b", **sec)
+        pinned.add_support("a", "passive", basis=RZ)
+        pinned.add_load_point("b")
+        with pytest.raises(msakit.ModelError, match="not resisted"):
+            pinned.solve({"b": [0.0, 100.0, 0.0, 0.0, 0.0, 0.0]})
+
+    def test_load_on_a_free_pendulum_is_not_resisted(self):
+        model = pendulum_chain(1)
+        with pytest.raises(msakit.ModelError, match="not resisted"):
+            model.solve({"q1": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]})   # swings it about z
+        state = model.solve({"q1": [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]})  # along the pin
+        assert state.residual <= 1e-9
+
+
+class TestSharedFactorization:
+    @pytest.mark.parametrize("build", [msakit.build_navaro, lambda: pendulum_chain(2)],
+                             ids=["navaro", "pendulum chain"])
+    def test_stiffness_and_solve_share_one_factorization(self, build, monkeypatch):
+        splu, init = scipy.sparse.linalg.splu, assembly._Factorization.__init__
+        lu_calls, factorizations = [], []
+
+        def counting_splu(A, *args, **kwargs):
+            lu_calls.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        def counting_init(self, A):
+            factorizations.append(A.shape)
+            init(self, A)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        monkeypatch.setattr(assembly._Factorization, "__init__", counting_init)
+        system = build().assemble()
+        result = msakit.cartesian_stiffness(system)
+        kc_calls = len(lu_calls)
+        state = msakit.solve_loaded(system, [0.0, 0.0, 10.0, 0.0, 0.0, 1.0])
+        assert len(factorizations) == 1
+        assert len(lu_calls) == kc_calls
+        if result.diagnostics.pseudo_inverse:
+            assert kc_calls >= 2         # the block's own LU, then the bordered one
+        else:
+            assert kc_calls == 1
+        assert state.residual <= assembly.RESIDUAL_RTOL
+
 
 class TestQueries:
     def test_dual_support_link_is_square_and_queryable(self):
@@ -463,8 +585,8 @@ def test_bordered_solve_matches_dense_svd_oracle(name):
     model = SINGULAR_MODELS[name]()
     oracle = dense_audit(model)
     report = model.check()
-    assert (report.rank, report.redundant, report.mechanisms) == (
-        oracle["rank"], oracle["redundant"], oracle["mechanisms"])
+    assert (report.rank, report.redundant, report.mechanisms, report.self_stress) == (
+        oracle["rank"], oracle["redundant"], oracle["mechanisms"], oracle["self_stress"])
     if not report.square:
         return
     result = model.cartesian_stiffness()

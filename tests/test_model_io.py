@@ -75,6 +75,22 @@ class TestParse:
             msakit.parse_model(json.dumps(data))
         assert err.value.path.startswith(f"$.joints[0].{field}")
 
+    @pytest.mark.parametrize("where, entry, matrix", [
+        ("joints", {"type": "elastic", "nodes": ["b", "c"], "basis": "universal"},
+         [[1.0, 2.0], [0.0, 1.0]]),
+        ("joints", {"type": "elastic", "nodes": ["b", "c"], "basis": "revolute_z"}, [[-5.0]]),
+        ("supports", {"node": "c", "type": "elastic", "basis": "universal"},
+         [[1.0, 2.0], [2.0, 1.0]]),
+    ], ids=["asymmetric-joint", "negative-joint", "indefinite-support"])
+    def test_spring_matrix_checked_at_parse_time(self, where, entry, matrix):
+        data = cantilever_doc()
+        data["nodes"].append({"id": "c", "position": [1.0, 0.0, 0.0]})
+        data[where] = data.get(where, []) + [{**entry, "stiffness": matrix}]
+        with pytest.raises(msakit.FormatError) as err:
+            msakit.parse_model(json.dumps(data))
+        index = len(data[where]) - 1
+        assert err.value.path == f"$.{where}[{index}].stiffness"
+
     def test_asymmetric_matrix_rejected(self):
         K = msakit.beam_stiffness(
             msakit.BeamSection(L=1.0, axis=[1, 0, 0], **section_kwargs())).K.copy()
@@ -219,6 +235,22 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert "6 mechanisms" in lines[0]
         assert lines[1] == "  mechanism nodes: a"
+
+    def test_check_counts_self_stress_apart_from_mechanisms(self, tmp_path, capsys):
+        # A rigid link from a clamp to the end effector: its reactions are
+        # indeterminate, but nothing moves.
+        data = {
+            "nodes": [{"id": "a", "position": [0, 0, 0]},
+                      {"id": "b", "position": [1.0, 0, 0]}],
+            "links": [{"type": "rigid", "nodes": ["a", "b"]}],
+            "supports": [{"node": "a", "type": "rigid"}],
+            "end_effector": "b",
+        }
+        path = self._write(tmp_path, data)
+        assert main(["check", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "0 mechanisms" in lines[0]
+        assert lines[1] == "  states of self-stress: 6"
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/m.json"]) == 1
