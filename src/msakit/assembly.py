@@ -9,7 +9,7 @@ are comparable; results are reported in physical units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -368,8 +368,9 @@ def _peaks(Y: np.ndarray) -> np.ndarray:
 
 
 class _Factorization:
-    """Row-equilibrated sparse LU of a square block, shared by the stiffness,
-    solve and audit paths. Row scaling never changes solutions.
+    """Row-equilibrated sparse LU of a square block: the one factorization of
+    an `_Analysis`, shared by the stiffness, solve and audit paths. Row
+    scaling never changes solutions.
 
     A block whose LU breaks down or leaves k pivots below PIVOT_RTOL is
     bordered instead (Keller's bordering; T. F. Chan, SIAM J. Numer. Anal.
@@ -522,6 +523,11 @@ class _Analysis:
     (t, c): [S  C N; L^T B  0] [t; c] = [b_e - C A^+ b_o; L^T b_o]. A load
     that this small system cannot meet is not resisted. With no end node,
     A is the whole matrix and the small system is L^T b_o alone.
+
+    By the rank identity of Marsaglia and Styan (Linear Multilinear Algebra
+    2, 1974), rank [A B; C D] = rank(A) + rank(K) for that small matrix K.
+    K's rank uses the cutoff of its pseudo-inverse, so a direction the rank
+    misses is exactly one in which a load is not resisted.
     """
 
     def __init__(self, system: GlobalSystem, end: Hashable | None):
@@ -531,10 +537,14 @@ class _Analysis:
         self.fac = fac = _Factorization(p.A)
         self.Q = fac.solve(p.B)
         self.S = p.D - p.C @ self.Q
+        self.LtB = fac.outside_range(p.B)
         N = fac.null_right
         self._K = np.block([[self.S, p.C @ N],
-                            [fac.outside_range(p.B), np.zeros((N.shape[1], N.shape[1]))]])
-        self._K_pinv = np.linalg.pinv(self._K, rcond=PIVOT_RTOL)
+                            [self.LtB, np.zeros((N.shape[1], N.shape[1]))]])
+        u, s, vt = np.linalg.svd(self._K, full_matrices=False)
+        large = s > PIVOT_RTOL * s.max(initial=0.0)
+        self._K_pinv = (vt[large].T / s[large]) @ u[:, large].T
+        self.rank = fac.rank + int(large.sum())
 
     def _block_solve(self, b: np.ndarray) -> tuple:
         """Solution of the scaled system by block back-substitution, and the
@@ -585,7 +595,7 @@ def cartesian_stiffness(system: GlobalSystem,
     an infinite-stiffness sentinel rather than numeric overflow.
     """
     analysis = _analysis(system, _end_node(system, end_node))
-    fac, B = analysis.fac, analysis.parts.B
+    fac = analysis.fac
     kc = system.stiff_scale * analysis.S
 
     diag = SolverDiagnostics(
@@ -598,8 +608,8 @@ def cartesian_stiffness(system: GlobalSystem,
     if fac.rank < fac.n:
         # End-point motions whose forcing lies outside range(A) are held by
         # rigid constraints: those directions are locked.
-        lock_scale = max(float(np.max(np.abs(fac._scale_rhs(B)))), 1e-300)
-        _, s, vt = np.linalg.svd(fac.outside_range(B), full_matrices=False)
+        lock_scale = max(float(np.max(np.abs(fac._scale_rhs(analysis.parts.B)))), 1e-300)
+        _, s, vt = np.linalg.svd(analysis.LtB, full_matrices=False)
         locked = vt[s > 1e-8 * lock_scale]
         if locked.shape[0] > 0:
             diag.locked, diag.locked_directions = True, locked
@@ -737,11 +747,14 @@ class ModelReport:
                 f"{self.mechanisms} mechanisms, {self.redundant} redundant constraints")
 
 
-def _square(M: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """M padded to square with zero rows or columns; the rank is unchanged."""
-    size = max(M.shape)
-    indptr = np.concatenate([M.indptr, np.full(size - M.shape[0], M.indptr[-1])])
-    return scipy.sparse.csr_matrix((M.data, M.indices, indptr), shape=(size, size))
+def _square(system: GlobalSystem) -> GlobalSystem:
+    """The system padded to square with zero rows or columns at the end; the
+    rank is unchanged."""
+    M = system.matrix
+    size, pad = max(M.shape), max(M.shape) - M.shape[0]
+    indptr = np.concatenate([M.indptr, np.full(pad, M.indptr[-1])])
+    matrix = scipy.sparse.csr_matrix((M.data, M.indices, indptr), shape=(size, size))
+    return replace(system, matrix=matrix, rhs=np.concatenate([system.rhs, np.zeros(pad)]))
 
 
 def _mechanism_nodes(system: GlobalSystem, null: np.ndarray, cols: np.ndarray) -> list:
@@ -757,14 +770,15 @@ def _mechanism_nodes(system: GlobalSystem, null: np.ndarray, cols: np.ndarray) -
 def check_model(model: Model) -> ModelReport:
     """Audit a model without requiring it to be solvable.
 
-    The null space of the internal block (the structure with the end
-    effector held; the whole matrix for models with no end effector) splits
-    into mechanisms, the rank of its deflection part, and states of
-    self-stress, null vectors that move no deflection and only leave
-    reactions indeterminate. A direction counts as moving when more than
-    MECHANISM_SHARE of its squared norm lies on deflections. Non-square
-    systems are padded to square with zero rows or columns, so one
-    factorization route serves every model.
+    The audit reads the same analysis, and so the same factorization, that
+    serves Kc and the loaded solve; non-square systems are first padded to
+    square with zero rows or columns. The rank of the whole system is the
+    analysis's rank (see `_Analysis`). The null space of the internal block
+    (the structure with the end effector held; the whole matrix for models
+    with no end effector) splits into mechanisms, the rank of its deflection
+    part, and states of self-stress, null vectors that move no deflection
+    and only leave reactions indeterminate. A direction counts as moving
+    when more than MECHANISM_SHARE of its squared norm lies on deflections.
     """
     system = _build_system(model, _emit_blocks(model))
     rows, unknowns = system.shape
@@ -774,20 +788,14 @@ def check_model(model: Model) -> ModelReport:
     mechanisms = unknowns
     mechanism_nodes: list = []
     if rows and unknowns:
-        values = system._scaled_values()
-        full = _Factorization(_square(_split(system, None, values).A))
-        rank = full.rank
-        end = system.end_effector
-        if end is not None and end in system.load_rows:
-            parts = _split(system, end, values)
-            cols = parts.col_perm[:parts.A.shape[1]]
-            held = _Factorization(_square(parts.A))
-        else:
-            cols, held = np.arange(unknowns), full
-        null = held.null_right[:cols.size]
+        analysis = _analysis(_square(system), system.end_effector)
+        rank, fac = analysis.rank, analysis.fac
+        cols = analysis.parts.col_perm[:fac.n]
+        real = cols < unknowns               # padding columns carry no unknown
+        null, cols = fac.null_right[real], cols[real]
         moving = np.linalg.svd(null[cols >= 6 * system.n_nodes], compute_uv=False)
         mechanisms = int(np.sum(moving ** 2 > MECHANISM_SHARE))
-        self_stress = cols.size - held.rank - mechanisms
+        self_stress = cols.size - fac.rank - mechanisms
         mechanism_nodes = _mechanism_nodes(system, null, cols)
     return ModelReport(
         nodes=system.n_nodes,

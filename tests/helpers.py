@@ -167,7 +167,8 @@ def dense_audit(model) -> dict:
     the scaled, row-equilibrated system. Mechanisms are the rank of the
     deflection rows of the held block's null basis (a direction moves when
     more than 1e-6 of its squared norm lies on deflections); the other null
-    vectors are states of self-stress."""
+    vectors are states of self-stress. With no end effector the held block
+    is the whole matrix."""
     from msakit import assembly
 
     system = assembly._build_system(model, assembly._emit_blocks(model))
@@ -175,8 +176,9 @@ def dense_audit(model) -> dict:
     rows, cols = M.shape
     n = 6 * system.n_nodes
     M[:, n:] *= 1.0 / system.stiff_scale
-    end_rows = system.load_rows[system.end_effector]
-    end_cols = np.arange(cols)[system.deflection_cols(system.end_effector)]
+    end = system.end_effector
+    end_rows = [] if end is None else system.load_rows[end]
+    end_cols = [] if end is None else np.arange(cols)[system.deflection_cols(end)]
     keep_rows = np.setdiff1d(np.arange(rows), end_rows)
     keep_cols = np.setdiff1d(np.arange(cols), end_cols)
     A = M[np.ix_(keep_rows, keep_cols)]
@@ -186,7 +188,7 @@ def dense_audit(model) -> dict:
     mechanisms = int(np.sum(moving ** 2 > 1e-6))
     out = {"rank": rank, "redundant": rows - rank, "a_rank": a_rank,
            "mechanisms": mechanisms, "self_stress": null.shape[1] - mechanisms}
-    if rows != cols:
+    if rows != cols or end is None:
         return out
     scale = _row_scale(A)
     A, B = A * scale, M[np.ix_(keep_rows, end_cols)] * scale

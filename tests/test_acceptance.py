@@ -11,6 +11,8 @@ import pytest
 
 import msakit
 from msakit.core import block_rotation
+from msakit.elements import rigid_link_equations, rigid_platform_equations
+from msakit.joints import elastic_joint_equations
 
 from helpers import cantilever, random_chain, rel_fro, section_kwargs
 
@@ -74,7 +76,7 @@ def test_criterion_3_oracle_equivalence_on_random_chains():
 
 def test_criterion_4_rank_claims():
     with criterion(4, "rigid link rank 12/24 and 3-clamp platform rank 24/48"):
-        link = msakit.rigid_link_equations([0.4, -0.2, 0.7], ("i", "j"))
+        link = rigid_link_equations([0.4, -0.2, 0.7], ("i", "j"))
         M, _ = link.dense()
         assert M.shape == (12, 24)
         s_max = np.linalg.svd(M, compute_uv=False)[0]
@@ -82,7 +84,7 @@ def test_criterion_4_rank_claims():
 
         clamps = [("c0", np.array([1.0, 0, 0])), ("c1", np.array([-0.5, 0.8, 0])),
                   ("c2", np.array([-0.5, -0.8, 0.3]))]
-        platform = msakit.rigid_platform_equations(clamps, "e")
+        platform = rigid_platform_equations(clamps, "e")
         P, _ = platform.dense()
         assert P.shape == (24, 48)
         s_max = np.linalg.svd(P, compute_uv=False)[0]
@@ -148,9 +150,8 @@ def test_criterion_5_joint_limit_consistency():
 def test_criterion_6_preload_behavior():
     with criterion(6, "zero preload is bitwise neutral; locked preload stays internal"):
         # Preloaded rows with zero preload equal the unpreloaded rows exactly.
-        plain = msakit.elastic_joint_equations(RZ, [[75.0]], ("i", "j"))
-        zeroed = msakit.elastic_joint_equations(RZ, [[75.0]], ("i", "j"),
-                                                preload=np.zeros(6))
+        plain = elastic_joint_equations(RZ, [[75.0]], ("i", "j"))
+        zeroed = elastic_joint_equations(RZ, [[75.0]], ("i", "j"), preload=np.zeros(6))
         np.testing.assert_array_equal(plain.rhs, zeroed.rhs)
         for (r1, v1, b1), (r2, v2, b2) in zip(plain.entries, zeroed.entries):
             assert r1 == r2 and v1 == v2

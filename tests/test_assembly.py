@@ -6,6 +6,7 @@ import scipy.sparse.linalg
 import msakit
 from msakit import assembly
 from msakit.core import block_rotation
+from msakit.equations import deflection_var, wrench_var
 
 from helpers import (cantilever, dense_audit, entries_dense, flexible_platform_model,
                      random_chain, rel_fro, section_kwargs, sprung_model, stack_dense)
@@ -26,6 +27,16 @@ def duplicated_joint():
     m.add_joint("rigid", ("b", "c"))
     m.add_support("a", "rigid")
     m.set_end_effector("d")
+    return m
+
+
+def free_beam():
+    """A beam with no support: fewer rows than unknowns."""
+    m = msakit.Model()
+    m.add_node("a", [0, 0, 0])
+    m.add_node("b", [1.0, 0, 0])
+    m.add_beam("a", "b", **section_kwargs())
+    m.set_end_effector("b")
     return m
 
 
@@ -76,10 +87,11 @@ def coaxial_pin_chain(redundant):
     return m
 
 
-def pendulum_chain(pendulums, beams=6):
+def pendulum_chain(pendulums, beams=6, end_effector=True):
     """Clamped chain of rigidly joined beams; at each of the first interior
     points a free pendulum beam (nodes q<2j>, q<2j+1>) hangs from a pin about
-    z, its far end only a load point, so each one is a mechanism."""
+    z, its far end only a load point, so each one is a mechanism. Without an
+    end effector the chain's tip is a load point too."""
     m = msakit.Model()
     points = [np.array([0.3 * k, 0.05 * k * k, 0.0]) for k in range(beams + 1)]
     for k in range(beams):
@@ -98,7 +110,10 @@ def pendulum_chain(pendulums, beams=6):
         m.add_junction(carriers, [(hinge, RZ)])
         m.add_load_point(tip)
     m.add_support("a0", "rigid")
-    m.set_end_effector(f"b{beams - 1}")
+    if end_effector:
+        m.set_end_effector(f"b{beams - 1}")
+    else:
+        m.add_load_point(f"b{beams - 1}")
     return m
 
 
@@ -474,23 +489,31 @@ class TestSolveLoaded:
         assert state.residual <= 1e-9
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The shapes of the blocks that `_Factorization` is built on, in order."""
+    init, shapes = assembly._Factorization.__init__, []
+
+    def counting_init(self, A):
+        shapes.append(A.shape)
+        init(self, A)
+
+    monkeypatch.setattr(assembly._Factorization, "__init__", counting_init)
+    return shapes
+
+
 class TestSharedFactorization:
     @pytest.mark.parametrize("build", [msakit.build_navaro, lambda: pendulum_chain(2)],
                              ids=["navaro", "pendulum chain"])
-    def test_stiffness_and_solve_share_one_factorization(self, build, monkeypatch):
-        splu, init = scipy.sparse.linalg.splu, assembly._Factorization.__init__
-        lu_calls, factorizations = [], []
+    def test_stiffness_and_solve_share_one_factorization(self, build, factorizations,
+                                                         monkeypatch):
+        splu, lu_calls = scipy.sparse.linalg.splu, []
 
         def counting_splu(A, *args, **kwargs):
             lu_calls.append(A.shape)
             return splu(A, *args, **kwargs)
 
-        def counting_init(self, A):
-            factorizations.append(A.shape)
-            init(self, A)
-
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-        monkeypatch.setattr(assembly._Factorization, "__init__", counting_init)
         system = build().assemble()
         result = msakit.cartesian_stiffness(system)
         kc_calls = len(lu_calls)
@@ -502,6 +525,14 @@ class TestSharedFactorization:
         else:
             assert kc_calls == 1
         assert state.residual <= assembly.RESIDUAL_RTOL
+
+    @pytest.mark.parametrize("build", [
+        msakit.build_navaro, lambda: pendulum_chain(2), duplicated_joint,
+        lambda: pendulum_chain(2, end_effector=False),
+    ], ids=["navaro", "pendulum chain", "duplicated joint", "pendulum chain, no end effector"])
+    def test_audit_builds_one_factorization(self, build, factorizations):
+        build().check()
+        assert len(factorizations) == 1
 
 
 class TestQueries:
@@ -536,12 +567,7 @@ class TestCheckModel:
         assert report.summary().startswith("24 equations / 24 unknowns, 0 mechanisms")
 
     def test_unsupported_link_counts_rigid_modes(self):
-        m = msakit.Model()
-        m.add_node("a", [0, 0, 0])
-        m.add_node("b", [1.0, 0, 0])
-        m.add_beam("a", "b", **section_kwargs())
-        m.set_end_effector("b")
-        report = m.check()
+        report = free_beam().check()
         assert not report.well_posed
         assert report.mechanisms == 6
 
@@ -577,6 +603,8 @@ SINGULAR_MODELS = {
     "two free pendulums": lambda: pendulum_chain(2),
     "three free pendulums": lambda: pendulum_chain(3),
     "duplicated joint (non-square)": duplicated_joint,
+    "unsupported beam (rows < unknowns)": free_beam,
+    "free pendulum, no end effector": lambda: pendulum_chain(1, end_effector=False),
 }
 
 
@@ -587,7 +615,7 @@ def test_bordered_solve_matches_dense_svd_oracle(name):
     report = model.check()
     assert (report.rank, report.redundant, report.mechanisms, report.self_stress) == (
         oracle["rank"], oracle["redundant"], oracle["mechanisms"], oracle["self_stress"])
-    if not report.square:
+    if not report.square or model.end_effector is None:
         return
     result = model.cartesian_stiffness()
     diag = result.diagnostics
@@ -628,8 +656,8 @@ def test_aggregation_matches_dense_oracle(name):
     model = AGGREGATION_MODELS[name]()
     system = model.assemble()
     blocks = assembly._emit_blocks(model)
-    variables = ([msakit.wrench_var(n) for n in system.nodes]
-                 + [msakit.deflection_var(n) for n in system.nodes])
+    variables = ([wrench_var(n) for n in system.nodes]
+                 + [deflection_var(n) for n in system.nodes])
     dense = stack_dense(blocks, variables)
     np.testing.assert_array_equal(dense, np.vstack([entries_dense(b, variables) for b in blocks]))
     np.testing.assert_array_equal(system.matrix.toarray(), dense)

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import msakit
+from msakit.boundary import (elastic_support_equations, external_load_equations,
+                             passive_support_equations, rigid_support_equations)
 from msakit.equations import deflection_var, wrench_var
 
 from helpers import block_residual, cantilever, section_kwargs
@@ -12,20 +14,20 @@ RZ = msakit.joint_basis_preset("revolute_z")
 
 class TestSupportRows:
     def test_rigid_support_pins_all_six(self):
-        block = msakit.rigid_support_equations("j")
+        block = rigid_support_equations("j")
         assert block.rows == 6
         M, variables = block.dense()
         assert variables == [deflection_var("j")]
         np.testing.assert_array_equal(M, np.eye(6))
 
     def test_passive_support_counts(self):
-        block = msakit.passive_support_equations("j", RZ)
+        block = passive_support_equations("j", RZ)
         assert block.rows == 6
         kinds = block.row_kinds()
         assert kinds.count("compat") == 5 and kinds.count("wrench") == 1
 
     def test_passive_support_allows_free_rotation_without_moment(self):
-        block = msakit.passive_support_equations("j", RZ)
+        block = passive_support_equations("j", RZ)
         values = {deflection_var("j"): np.array([0, 0, 0, 0, 0, 0.25]),
                   wrench_var("j"): np.array([3.0, -1.0, 2.0, 0.5, -0.5, 0.0])}
         np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)
@@ -33,11 +35,11 @@ class TestSupportRows:
     def test_unconstrained_support_rejected(self):
         free = msakit.joint_basis_preset("free")
         with pytest.raises(ValueError):
-            msakit.passive_support_equations("j", free)
+            passive_support_equations("j", free)
 
     def test_elastic_support_counts_and_hooke_sign(self):
         k = 400.0
-        block = msakit.elastic_support_equations("j", RZ, [[k]])
+        block = elastic_support_equations("j", RZ, [[k]])
         assert block.rows == 6
         theta = 0.01
         # Restoring spring: ground pushes back with -k*theta about z.
@@ -47,36 +49,36 @@ class TestSupportRows:
 
     def test_elastic_support_preload_at_rest(self):
         w0 = np.array([0, 0, 0, 0, 0, 6.0])
-        block = msakit.elastic_support_equations("j", RZ, [[400.0]], preload=w0)
+        block = elastic_support_equations("j", RZ, [[400.0]], preload=w0)
         values = {deflection_var("j"): np.zeros(6), wrench_var("j"): w0}
         np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)
 
 
 class TestExternalLoadRows:
     def test_single_incident_node(self):
-        block = msakit.external_load_equations(["e"], "e")
+        block = external_load_equations(["e"], "e")
         assert block.rows == 6 and block.load_node == "e"
         M, variables = block.dense()
         assert variables == [wrench_var("e")]
         np.testing.assert_array_equal(M, np.eye(6))
 
     def test_three_incident_nodes_sum(self):
-        block = msakit.external_load_equations(["i", "j", "k"], "e")
+        block = external_load_equations(["i", "j", "k"], "e")
         order = [wrench_var(n) for n in "ijk"]
         M, _ = block.dense(order)
         np.testing.assert_array_equal(M, np.hstack([np.eye(6)] * 3))
 
     def test_zero_load_reduces_to_wrench_balance(self):
-        block = msakit.external_load_equations(["i", "j"], "e")
+        block = external_load_equations(["i", "j"], "e")
         w = np.array([1.0, -2.0, 3.0, 0.1, 0.2, -0.3])
         values = {wrench_var("i"): w, wrench_var("j"): -w}
         np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            msakit.external_load_equations(["i", "i"], "e")
+            external_load_equations(["i", "i"], "e")
         with pytest.raises(ValueError):
-            msakit.external_load_equations([], "e")
+            external_load_equations([], "e")
 
 
 class TestReactions:

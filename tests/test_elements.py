@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import msakit
+from msakit.elements import (flexible_link_equations, flexible_platform_equations,
+                             rigid_link_equations, rigid_platform_equations)
 from msakit.equations import deflection_var, wrench_var
 
 from helpers import block_residual, cantilever, section_kwargs
@@ -94,7 +96,7 @@ class TestLinkStiffness:
 class TestFlexibleLinkEquations:
     def _block(self):
         link = msakit.beam_stiffness(_section()).with_nodes("i", "j")
-        return link, msakit.flexible_link_equations(link)
+        return link, flexible_link_equations(link)
 
     def test_row_count_and_category(self):
         _, block = self._block()
@@ -142,18 +144,18 @@ class TestFlexibleLinkEquations:
     def test_requires_node_pair(self):
         link = msakit.beam_stiffness(_section())
         with pytest.raises(ValueError):
-            msakit.flexible_link_equations(link)
+            flexible_link_equations(link)
 
 
 class TestRigidLinkEquations:
     def test_row_split(self):
-        block = msakit.rigid_link_equations([1.0, 0, 0], ("i", "j"))
+        block = rigid_link_equations([1.0, 0, 0], ("i", "j"))
         kinds = block.row_kinds()
         assert kinds[:6] == ["compat"] * 6
         assert kinds[6:] == ["wrench"] * 6
 
     def test_zero_offset_degenerates_to_equality(self):
-        block = msakit.rigid_link_equations([0, 0, 0], ("i", "j"))
+        block = rigid_link_equations([0, 0, 0], ("i", "j"))
         dt = np.array([1.0, 2, 3, 4, 5, 6])
         w = np.array([-1.0, 2, -3, 4, -5, 6])
         r = block_residual(block, {deflection_var("i"): dt, deflection_var("j"): dt,
@@ -162,7 +164,7 @@ class TestRigidLinkEquations:
 
     def test_rigid_field_satisfies_compatibility(self):
         d = np.array([0.7, -0.2, 0.5])
-        block = msakit.rigid_link_equations(d, ("i", "j"))
+        block = rigid_link_equations(d, ("i", "j"))
         dt_i = np.array([0.01, 0.02, -0.01, 0.1, -0.2, 0.05])
         D = msakit.transport_matrix(d).matrix
         r = block_residual(block, {deflection_var("i"): dt_i, deflection_var("j"): D @ dt_i,
@@ -171,7 +173,7 @@ class TestRigidLinkEquations:
 
     def test_lever_equilibrium(self):
         d = np.array([2.0, 0.0, 0.0])
-        block = msakit.rigid_link_equations(d, ("i", "j"))
+        block = rigid_link_equations(d, ("i", "j"))
         F = np.array([0.0, 30.0, 0.0])
         w_j = np.concatenate([F, np.zeros(3)])
         w_i = np.concatenate([-F, -np.cross(d, F)])
@@ -180,7 +182,7 @@ class TestRigidLinkEquations:
         np.testing.assert_allclose(r, np.zeros(12), atol=1e-12)
 
     def test_rank_twelve_over_24_unknowns(self):
-        block = msakit.rigid_link_equations([0.3, 0.4, 0.5], ("i", "j"))
+        block = rigid_link_equations([0.3, 0.4, 0.5], ("i", "j"))
         M, variables = block.dense()
         assert M.shape == (12, 24)
         s_max = np.linalg.svd(M, compute_uv=False)[0]
@@ -188,7 +190,7 @@ class TestRigidLinkEquations:
 
     def test_same_node_rejected(self):
         with pytest.raises(ValueError):
-            msakit.rigid_link_equations([1, 0, 0], ("i", "i"))
+            rigid_link_equations([1, 0, 0], ("i", "i"))
 
 
 class TestRigidPlatformEquations:
@@ -199,7 +201,7 @@ class TestRigidPlatformEquations:
 
     def test_three_clamp_counts_and_rank(self):
         clamps, _ = self._clamps()
-        block = msakit.rigid_platform_equations(clamps, "e")
+        block = rigid_platform_equations(clamps, "e")
         assert block.rows == 24
         M, _ = block.dense()
         assert M.shape == (24, 48)
@@ -208,8 +210,8 @@ class TestRigidPlatformEquations:
 
     def test_single_clamp_matches_rigid_link(self):
         d = np.array([0.4, 0.6, -0.1])
-        platform = msakit.rigid_platform_equations([("i", d)], "j")
-        link = msakit.rigid_link_equations(d, ("i", "j"))
+        platform = rigid_platform_equations([("i", d)], "j")
+        link = rigid_link_equations(d, ("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
         P = platform.dense(order)[0]
         L = link.dense(order)[0]
@@ -222,7 +224,7 @@ class TestRigidPlatformEquations:
 
     def test_rigid_body_motion_and_self_equilibrated_wrenches(self):
         clamps, positions = self._clamps()
-        block = msakit.rigid_platform_equations(clamps, "e")
+        block = rigid_platform_equations(clamps, "e")
         dt_e = np.array([0.01, -0.02, 0.03, 0.004, 0.005, -0.006])
         phi = dt_e[3:]
         values = {deflection_var("e"): dt_e}
@@ -241,11 +243,11 @@ class TestRigidPlatformEquations:
 
     def test_duplicate_clamps_rejected(self):
         with pytest.raises(ValueError):
-            msakit.rigid_platform_equations([("i", np.zeros(3)), ("i", np.ones(3))], "e")
+            rigid_platform_equations([("i", np.zeros(3)), ("i", np.ones(3))], "e")
 
     def test_needs_a_clamp(self):
         with pytest.raises(ValueError):
-            msakit.rigid_platform_equations([], "e")
+            rigid_platform_equations([], "e")
 
 
 class TestFlexiblePlatformEquations:
@@ -259,14 +261,14 @@ class TestFlexiblePlatformEquations:
 
     def test_single_clamp_matches_flexible_link(self):
         link = self._links(1)[0]
-        platform = msakit.flexible_platform_equations([link], "e")
-        plain = msakit.flexible_link_equations(link)
+        platform = flexible_platform_equations([link], "e")
+        plain = flexible_link_equations(link)
         order = [wrench_var("c0"), wrench_var("e"), deflection_var("c0"), deflection_var("e")]
         np.testing.assert_allclose(platform.dense(order)[0], plain.dense(order)[0], atol=1e-15)
 
     def test_assembled_matrix_symmetric(self):
         links = self._links(3)
-        block = msakit.flexible_platform_equations(links, "e")
+        block = flexible_platform_equations(links, "e")
         order = [wrench_var(f"c{k}") for k in range(3)] + [wrench_var("e")]
         order += [deflection_var(f"c{k}") for k in range(3)] + [deflection_var("e")]
         M, _ = block.dense(order)
@@ -275,7 +277,7 @@ class TestFlexiblePlatformEquations:
 
     def test_clamps_held_sum_far_blocks(self):
         links = self._links(3)
-        block = msakit.flexible_platform_equations(links, "e")
+        block = flexible_platform_equations(links, "e")
         dt_e = np.array([1e-3, 2e-3, -1e-3, 1e-4, -2e-4, 3e-4])
         values = {deflection_var("e"): dt_e, wrench_var("e"): sum(l.K22 for l in links) @ dt_e}
         for link in links:
@@ -286,9 +288,9 @@ class TestFlexiblePlatformEquations:
     def test_mismatched_end_rejected(self):
         link = msakit.beam_stiffness(_section()).with_nodes("c0", "not_e")
         with pytest.raises(ValueError):
-            msakit.flexible_platform_equations([link], "e")
+            flexible_platform_equations([link], "e")
 
     def test_row_category_is_link(self):
-        block = msakit.flexible_platform_equations(self._links(2), "e")
+        block = flexible_platform_equations(self._links(2), "e")
         assert block.rows == 18
         assert set(block.row_kinds()) == {"link"}

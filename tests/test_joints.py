@@ -4,6 +4,8 @@ import pytest
 
 import msakit
 from msakit.equations import deflection_var, wrench_var
+from msakit.joints import (actuated_joint_equations, elastic_joint_equations, junction_equations,
+                           passive_joint_equations, rigid_joint_equations)
 
 from helpers import block_residual
 
@@ -12,19 +14,19 @@ RZ = msakit.joint_basis_preset("revolute_z")
 
 class TestRigidJoint:
     def test_two_node_rows(self):
-        block = msakit.rigid_joint_equations(("i", "j"))
+        block = rigid_joint_equations(("i", "j"))
         assert block.rows == 12
         kinds = block.row_kinds()
         assert kinds.count("compat") == 6 and kinds.count("wrench") == 6
 
     def test_three_node_rows(self):
-        block = msakit.rigid_joint_equations(("i", "j", "k"))
+        block = rigid_joint_equations(("i", "j", "k"))
         assert block.rows == 18
         kinds = block.row_kinds()
         assert kinds.count("compat") == 12 and kinds.count("wrench") == 6
 
     def test_satisfied_by_shared_motion_and_balanced_wrenches(self):
-        block = msakit.rigid_joint_equations(("i", "j", "k"))
+        block = rigid_joint_equations(("i", "j", "k"))
         rng = np.random.default_rng(4)
         dt = rng.normal(size=6)
         w_i, w_j = rng.normal(size=6), rng.normal(size=6)
@@ -36,20 +38,20 @@ class TestRigidJoint:
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            msakit.rigid_joint_equations(("i", "i"))
+            rigid_joint_equations(("i", "i"))
         with pytest.raises(ValueError):
-            msakit.rigid_joint_equations(("i",))
+            rigid_joint_equations(("i",))
 
 
 class TestPassiveJoint:
     def test_revolute_row_structure(self):
-        block = msakit.passive_joint_equations(RZ, ("i", "j"))
+        block = passive_joint_equations(RZ, ("i", "j"))
         assert block.rows == 12
         kinds = block.row_kinds()
         assert kinds[:5] == ["compat"] * 5 and kinds[5:] == ["wrench"] * 7
 
     def test_free_relative_rotation_transmits_nothing(self):
-        block = msakit.passive_joint_equations(RZ, ("i", "j"))
+        block = passive_joint_equations(RZ, ("i", "j"))
         rng = np.random.default_rng(5)
         dt_i = rng.normal(size=6)
         dt_j = dt_i + np.array([0, 0, 0, 0, 0, 0.3])   # relative twist about z only
@@ -60,7 +62,7 @@ class TestPassiveJoint:
         np.testing.assert_allclose(block_residual(block, values), np.zeros(12), atol=1e-15)
 
     def test_transmitted_moment_about_axis_is_zero(self):
-        block = msakit.passive_joint_equations(RZ, ("i", "j"))
+        block = passive_joint_equations(RZ, ("i", "j"))
         values = {deflection_var("i"): np.zeros(6), deflection_var("j"): np.zeros(6),
                   wrench_var("i"): np.array([0, 0, 0, 0, 0, 1.0]),
                   wrench_var("j"): np.array([0, 0, 0, 0, 0, -1.0])}
@@ -69,7 +71,7 @@ class TestPassiveJoint:
 
     def test_spherical_annihilates_pure_moments(self):
         spherical = msakit.joint_basis_preset("spherical")
-        block = msakit.passive_joint_equations(spherical, ("i", "j"))
+        block = passive_joint_equations(spherical, ("i", "j"))
         assert block.rows == 12
         values = {deflection_var("i"): np.zeros(6), deflection_var("j"): np.zeros(6),
                   wrench_var("i"): np.array([0, 0, 0, 1.0, 2.0, 3.0]),
@@ -81,7 +83,7 @@ class TestPassiveJoint:
         np.testing.assert_allclose(block_residual(block, values), np.zeros(12), atol=1e-15)
 
     def test_rigid_compatible_solution(self):
-        block = msakit.passive_joint_equations(RZ, ("i", "j"))
+        block = passive_joint_equations(RZ, ("i", "j"))
         rng = np.random.default_rng(6)
         dt = rng.normal(size=6)
         w = rng.normal(size=6)
@@ -93,12 +95,12 @@ class TestPassiveJoint:
     def test_fully_rigid_basis_rejected(self):
         rigid6 = msakit.make_joint_basis(list(np.eye(6)), [])
         with pytest.raises(ValueError):
-            msakit.passive_joint_equations(rigid6, ("i", "j"))
+            passive_joint_equations(rigid6, ("i", "j"))
 
 
 class TestElasticJoint:
     def test_row_structure(self):
-        block = msakit.elastic_joint_equations(RZ, [[100.0]], ("i", "j"))
+        block = elastic_joint_equations(RZ, [[100.0]], ("i", "j"))
         assert block.rows == 12
         kinds = block.row_kinds()
         assert kinds.count("compat") == 5
@@ -106,7 +108,7 @@ class TestElasticJoint:
         assert kinds.count("mixed") == 1
 
     def test_equal_deflections_give_no_elastic_force(self):
-        block = msakit.elastic_joint_equations(RZ, [[100.0]], ("i", "j"))
+        block = elastic_joint_equations(RZ, [[100.0]], ("i", "j"))
         rng = np.random.default_rng(7)
         dt = rng.normal(size=6)
         w = rng.normal(size=6)
@@ -117,7 +119,7 @@ class TestElasticJoint:
 
     def test_relative_twist_transmits_spring_moment(self):
         k, theta = 300.0, 0.02
-        block = msakit.elastic_joint_equations(RZ, [[k]], ("i", "j"))
+        block = elastic_joint_equations(RZ, [[k]], ("i", "j"))
         dt_i = np.zeros(6)
         dt_j = np.array([0, 0, 0, 0, 0, -theta])   # node i twisted + theta relative to j
         # Restoring spring: the joint pulls node i back with moment -k*theta.
@@ -129,15 +131,15 @@ class TestElasticJoint:
 
     def test_preload_carried_at_zero_relative_deflection(self):
         w0 = np.array([0, 0, 0, 0, 0, 4.5])
-        block = msakit.elastic_joint_equations(RZ, [[100.0]], ("i", "j"), preload=w0)
+        block = elastic_joint_equations(RZ, [[100.0]], ("i", "j"), preload=w0)
         dt = np.array([1e-3, 0, 0, 0, 0, 2e-3])
         values = {deflection_var("i"): dt, deflection_var("j"): dt,
                   wrench_var("i"): w0, wrench_var("j"): -w0}
         np.testing.assert_allclose(block_residual(block, values), np.zeros(12), atol=1e-14)
 
     def test_zero_preload_matches_unpreloaded_rows_exactly(self):
-        plain = msakit.elastic_joint_equations(RZ, [[75.0]], ("i", "j"))
-        zeroed = msakit.elastic_joint_equations(RZ, [[75.0]], ("i", "j"), preload=np.zeros(6))
+        plain = elastic_joint_equations(RZ, [[75.0]], ("i", "j"))
+        zeroed = elastic_joint_equations(RZ, [[75.0]], ("i", "j"), preload=np.zeros(6))
         assert plain.rows == zeroed.rows
         np.testing.assert_array_equal(plain.rhs, zeroed.rhs)
         for (r1, v1, b1), (r2, v2, b2) in zip(plain.entries, zeroed.entries):
@@ -147,22 +149,22 @@ class TestElasticJoint:
     def test_preload_along_rigid_directions_warns(self):
         w0 = np.array([1.0, 0, 0, 0, 0, 2.0])
         with pytest.warns(UserWarning):
-            msakit.elastic_joint_equations(RZ, [[100.0]], ("i", "j"), preload=w0)
+            elastic_joint_equations(RZ, [[100.0]], ("i", "j"), preload=w0)
 
     def test_stiffness_shape_must_match_basis(self):
         with pytest.raises(ValueError):
-            msakit.elastic_joint_equations(RZ, np.eye(2), ("i", "j"))
+            elastic_joint_equations(RZ, np.eye(2), ("i", "j"))
 
     def test_indefinite_stiffness_rejected(self):
         with pytest.raises(ValueError):
-            msakit.elastic_joint_equations(RZ, [[-5.0]], ("i", "j"))
+            elastic_joint_equations(RZ, [[-5.0]], ("i", "j"))
 
 
 class TestActuatedJoint:
     def test_as_rigid_delegates(self):
         spec = msakit.JointSpec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")
-        block = msakit.actuated_joint_equations(spec)
-        ref = msakit.rigid_joint_equations(("i", "j"))
+        block = actuated_joint_equations(spec)
+        ref = rigid_joint_equations(("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
         np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
 
@@ -170,8 +172,8 @@ class TestActuatedJoint:
         ks = msakit.JointStiffness([[1e4]])
         spec = msakit.JointSpec(kind="actuated", nodes=("i", "j"), basis=RZ,
                                 stiffness=ks, idealization="as-elastic")
-        block = msakit.actuated_joint_equations(spec)
-        ref = msakit.elastic_joint_equations(RZ, ks, ("i", "j"))
+        block = actuated_joint_equations(spec)
+        ref = elastic_joint_equations(RZ, ks, ("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
         np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
 
@@ -195,10 +197,10 @@ class TestJointSpec:
 
     def test_every_two_node_joint_emits_twelve_rows(self):
         blocks = [
-            msakit.rigid_joint_equations(("i", "j")),
-            msakit.passive_joint_equations(RZ, ("i", "j")),
-            msakit.elastic_joint_equations(RZ, [[10.0]], ("i", "j")),
-            msakit.actuated_joint_equations(
+            rigid_joint_equations(("i", "j")),
+            passive_joint_equations(RZ, ("i", "j")),
+            elastic_joint_equations(RZ, [[10.0]], ("i", "j")),
+            actuated_joint_equations(
                 msakit.JointSpec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")),
         ]
         assert all(b.rows == 12 for b in blocks)
@@ -206,20 +208,20 @@ class TestJointSpec:
 
 class TestJunction:
     def test_pin_and_weld_row_grouping(self):
-        block = msakit.junction_equations(("6", "9"), [("7", RZ)])
+        block = junction_equations(("6", "9"), [("7", RZ)])
         assert block.rows == 18
         kinds = block.row_kinds()
         assert kinds.count("compat") == 11   # 5 pinned + 6 welded
         assert kinds.count("wrench") == 7    # 5 shared + 1 carrier + 1 attachment
 
     def test_junction_without_attachments_matches_rigid_joint(self):
-        block = msakit.junction_equations(("i", "j", "k"))
-        ref = msakit.rigid_joint_equations(("i", "j", "k"))
+        block = junction_equations(("i", "j", "k"))
+        ref = rigid_joint_equations(("i", "j", "k"))
         order = [deflection_var(n) for n in "ijk"] + [wrench_var(n) for n in "ijk"]
         np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
 
     def test_junction_statics_and_kinematics(self):
-        block = msakit.junction_equations(("6", "9"), [("7", RZ)])
+        block = junction_equations(("6", "9"), [("7", RZ)])
         rng = np.random.default_rng(8)
         dt = rng.normal(size=6)
         dt7 = dt + np.array([0, 0, 0, 0, 0, 0.1])    # pin frees relative z rotation
@@ -234,14 +236,14 @@ class TestJunction:
 
     def test_heterogeneous_bases_keep_row_count(self):
         ry = msakit.joint_basis_preset("revolute_y")
-        block = msakit.junction_equations(("a",), [("b", RZ), ("c", ry)])
+        block = junction_equations(("a",), [("b", RZ), ("c", ry)])
         assert block.rows == 18
 
     def test_rejects_non_passive_attachment(self):
         rigid6 = msakit.make_joint_basis(list(np.eye(6)), [])
         with pytest.raises(ValueError):
-            msakit.junction_equations(("a", "b"), [("c", rigid6)])
+            junction_equations(("a", "b"), [("c", rigid6)])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            msakit.junction_equations(("a", "b"), [("a", RZ)])
+            junction_equations(("a", "b"), [("a", RZ)])
