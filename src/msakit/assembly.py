@@ -9,7 +9,7 @@ are comparable; results are reported in physical units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -103,7 +103,6 @@ class GlobalSystem:
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     load_rows: dict                  # load node -> ndarray of 6 row indices
-    load_incidents: dict             # load node -> incident node tuple
     row_meta: list                   # (source, kind) per row
     support_nodes: tuple
     end_effector: Hashable | None
@@ -205,7 +204,6 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
         matrix=matrix,
         rhs=_concat([b.rhs for b in blocks], float),
         load_rows=load_rows,
-        load_incidents=dict(model.load_points),
         row_meta=[(b.source, kind) for b in blocks for kind in b.row_kinds()],
         support_nodes=tuple(model.supports.keys()),
         end_effector=model.end_effector,
@@ -325,20 +323,9 @@ class SolverDiagnostics:
     infinite: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "a_size": self.a_size,
-            "a_rank": self.a_rank,
-            "pseudo_inverse": self.pseudo_inverse,
-            "condition_estimate": float(self.condition_estimate),
-            "kc_rank": self.kc_rank,
-            "mechanisms": self.mechanisms,
-            "mechanism_directions": None if self.mechanism_directions is None
-            else self.mechanism_directions.tolist(),
-            "locked": self.locked,
-            "locked_directions": None if self.locked_directions is None
-            else self.locked_directions.tolist(),
-            "infinite": self.infinite,
-        }
+        """Every field, in order, with arrays as nested lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
 @dataclass(eq=False)
@@ -351,7 +338,11 @@ class CartesianStiffness:
 
 def _lu(M: scipy.sparse.csc_matrix) -> tuple:
     """splu of M and its number of pivots below PIVOT_RTOL; (None, 0) when
-    SuperLU breaks down on an exactly zero pivot."""
+    SuperLU breaks down on an exactly zero pivot, and without calling it when
+    M has an empty row or column (SuperLU can crash on such a matrix)."""
+    n = M.shape[0]
+    if not (np.diff(M.indptr).all() and np.bincount(M.indices, minlength=n).all()):
+        return None, 0
     try:
         lu = scipy.sparse.linalg.splu(M)
     except RuntimeError:

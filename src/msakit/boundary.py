@@ -3,6 +3,10 @@
 Every support contributes exactly six scalar rows. Support wrenches are the
 efforts the ground applies to the supported link end, so elastic supports use
 the restoring Hooke sign: Le W_j + Ke Le dt_j = Le W0.
+
+`Model.add_support` and `Model.add_load_point` check each support and load
+point once, when the model records it; the emitters trust their input and
+raise nothing.
 """
 from __future__ import annotations
 
@@ -28,11 +32,6 @@ def rigid_support_equations(node: Hashable) -> EquationBlock:
 
 def passive_support_equations(node: Hashable, basis: JointBasis) -> EquationBlock:
     """Pinned support: rigid directions blocked, free directions transmit nothing."""
-    if basis.p < 1:
-        raise ValueError("passive support needs at least one free direction (use a rigid support)")
-    if basis.r < 1:
-        raise ValueError("a support with no rigid direction constrains nothing; "
-                         "model a free end with a load node instead")
     entries = [
         (0, deflection_var(node), basis.lambda_rigid),
         (basis.r, wrench_var(node), basis.lambda_free),
@@ -44,7 +43,7 @@ def elastic_support_equations(node: Hashable, basis: JointBasis,
                               stiffness, preload=None) -> EquationBlock:
     """Sprung support: rigid directions blocked, elastic directions obey
     Le W_j + Ke Le dt_j = Le W0."""
-    Ke, w0 = _spring(basis, stiffness, preload, "support", f"support@{node}")
+    Ke, w0 = _spring(basis, stiffness, preload, f"support@{node}")
     r, le = basis.r, basis.lambda_free
     entries = []
     if r:
@@ -62,11 +61,6 @@ def external_load_equations(nodes: Sequence[Hashable], end_node: Hashable) -> Eq
     The right-hand side is the external wrench slot keyed by `end_node`,
     bound to an actual value at solve time (zero when unloaded).
     """
-    nodes = list(nodes)
-    if not nodes:
-        raise ValueError("a load point needs at least one incident node")
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("duplicate node ids at load point")
     entries = [(0, wrench_var(node), EYE6) for node in nodes]
     return EquationBlock(
         source=f"load@{end_node}",

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,36 +75,20 @@ def _analysis_payload(model, loads: dict) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        doc = parse_model(Path(args.model).read_text())
-        model = doc.to_model()
-        loads = doc.load_values()
-        if args.load is not None:
-            parts = [float(x) for x in args.load.split(",")]
-            if len(parts) != 6:
-                raise ModelError("--load needs six comma-separated numbers")
-            loads[doc.end_effector] = np.array(parts)
-        payload = _analysis_payload(model, loads)
-    except OSError as exc:
-        return _error({"error": "io", "detail": str(exc)})
-    except FormatError as exc:
-        return _error({"error": "format", "path": exc.path, "detail": exc.reason})
-    except (ModelError, ValueError) as exc:
-        return _error({"error": "model", "detail": str(exc)})
-    _write(args.out, payload)
+    doc = parse_model(Path(args.model).read_text())
+    model = doc.to_model()
+    loads = doc.load_values()
+    if args.load is not None:
+        parts = [float(x) for x in args.load.split(",")]
+        if len(parts) != 6:
+            raise ModelError("--load needs six comma-separated numbers")
+        loads[doc.end_effector] = np.array(parts)
+    _write(args.out, _analysis_payload(model, loads))
     return 0
 
 
 def _cmd_check(args) -> int:
-    try:
-        doc = parse_model(Path(args.model).read_text())
-        report = doc.to_model().check()
-    except OSError as exc:
-        return _error({"error": "io", "detail": str(exc)})
-    except FormatError as exc:
-        return _error({"error": "format", "path": exc.path, "detail": exc.reason})
-    except (ModelError, ValueError) as exc:
-        return _error({"error": "model", "detail": str(exc)})
+    report = parse_model(Path(args.model).read_text()).to_model().check()
     print(report.summary())
     if report.mechanism_nodes:
         print(f"  mechanism nodes: {', '.join(map(str, report.mechanism_nodes))}")
@@ -138,43 +123,33 @@ def _navaro_params(path: str | None) -> tuple:
 
 
 def _cmd_navaro(args) -> int:
-    try:
-        base, sweep = _navaro_params(args.params)
-        out_dir = Path(args.out) if args.out else Path.cwd()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        leg_system = assembly.assemble(reference.build_navaro_leg(base))
-        leg_audit = {
-            "equations": leg_system.shape[0],
-            "unknowns": leg_system.shape[1],
-            "blocks": leg_system.block_row_counts(),
-        }
-        for idx, ke in enumerate(sweep):
-            params = base if ke is None else _with_motor(base, ke)
-            if args.leg_only:
-                model = reference.build_navaro_leg(params)
-            else:
-                model = reference.build_navaro(params)
-            doc = document_from_model(model)
-            suffix = "" if len(sweep) == 1 else f"_{idx + 1}"
-            mode = "leg" if args.leg_only else "full"
-            model_path = out_dir / f"navaro_{mode}_model{suffix}.json"
-            result_path = out_dir / f"navaro_{mode}_result{suffix}.json"
-            model_path.write_text(serialize_model(doc) + "\n")
-            payload = _analysis_payload(model, {})
-            payload["leg_audit"] = leg_audit
-            payload["motor_stiffness"] = params.motor_stiffness
-            result_path.write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {model_path} and {result_path}")
-    except OSError as exc:
-        return _error({"error": "io", "detail": str(exc)})
-    except (ModelError, ValueError) as exc:
-        return _error({"error": "model", "detail": str(exc)})
+    base, sweep = _navaro_params(args.params)
+    out_dir = Path(args.out) if args.out else Path.cwd()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    leg_system = assembly.assemble(reference.build_navaro_leg(base))
+    leg_audit = {
+        "equations": leg_system.shape[0],
+        "unknowns": leg_system.shape[1],
+        "blocks": leg_system.block_row_counts(),
+    }
+    for idx, ke in enumerate(sweep):
+        params = base if ke is None else replace(base, motor_stiffness=ke)
+        if args.leg_only:
+            model = reference.build_navaro_leg(params)
+        else:
+            model = reference.build_navaro(params)
+        doc = document_from_model(model)
+        suffix = "" if len(sweep) == 1 else f"_{idx + 1}"
+        mode = "leg" if args.leg_only else "full"
+        model_path = out_dir / f"navaro_{mode}_model{suffix}.json"
+        result_path = out_dir / f"navaro_{mode}_result{suffix}.json"
+        model_path.write_text(serialize_model(doc) + "\n")
+        payload = _analysis_payload(model, {})
+        payload["leg_audit"] = leg_audit
+        payload["motor_stiffness"] = params.motor_stiffness
+        result_path.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {model_path} and {result_path}")
     return 0
-
-
-def _with_motor(params: reference.NavaroParams, ke: float) -> reference.NavaroParams:
-    from dataclasses import replace
-    return replace(params, motor_stiffness=ke)
 
 
 def main(argv=None) -> int:
@@ -207,7 +182,14 @@ def main(argv=None) -> int:
         if argv[k - 1] == "--load":
             argv[k - 1:k + 1] = [f"--load={argv[k]}"]
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _error({"error": "io", "detail": str(exc)})
+    except FormatError as exc:
+        return _error({"error": "format", "path": exc.path, "detail": exc.reason})
+    except (ModelError, ValueError) as exc:
+        return _error({"error": "model", "detail": str(exc)})
 
 
 if __name__ == "__main__":

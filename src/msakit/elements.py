@@ -4,6 +4,10 @@ Each emitter returns an EquationBlock over the wrench and deflection
 unknowns of the touched nodes. Flexible elements contribute stiffness rows
 -W + K dt = 0; rigid elements contribute compatibility and equilibrium
 constraints built from transport operators.
+
+The model builder checks each element once, when it records it, and binds
+every flexible link to its node pair; the emitters trust their input and
+raise nothing.
 """
 from __future__ import annotations
 
@@ -69,9 +73,7 @@ class LinkStiffness:
     @classmethod
     def from_matrix(cls, K, nodes=None, sym_tol: float = USER_MATRIX_SYM_TOL) -> "LinkStiffness":
         """Accept a user matrix after a symmetry check, then symmetrize."""
-        K = np.asarray(K, dtype=float)
-        if K.shape != (12, 12):
-            raise ValueError(f"link stiffness must be 12x12, got {K.shape}")
+        K = cls(K).K                     # checks the shape and finiteness
         scale = max(np.max(np.abs(K)), 1.0)
         if np.max(np.abs(K - K.T)) > sym_tol * scale:
             raise ValueError("link stiffness asymmetry exceeds the accepted tolerance")
@@ -161,8 +163,6 @@ def beam_stiffness(section: BeamSection, nodes: tuple | None = None) -> LinkStif
 
 def flexible_link_equations(link: LinkStiffness) -> EquationBlock:
     """Stiffness rows -W_i - W_j + K [dt_i; dt_j] = 0 for a two-node link."""
-    if link.nodes is None:
-        raise ValueError("link stiffness must carry its node pair")
     i, j = link.nodes
     return EquationBlock(
         source=f"link({i},{j})",
@@ -186,8 +186,6 @@ def rigid_link_equations(d, nodes) -> EquationBlock:
     where D is the transport operator for the offset d from node i to node j.
     """
     i, j = nodes
-    if i == j:
-        raise ValueError("rigid link end nodes must differ")
     D = _transport6(d)
     return EquationBlock(
         source=f"rigid_link({i},{j})",
@@ -210,13 +208,6 @@ def rigid_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
     the end-node wrench.
     """
     clamps = list(clamps)
-    if not clamps:
-        raise ValueError("rigid platform needs at least one clamp node")
-    ids = [c for c, _ in clamps]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate clamp node ids on rigid platform")
-    if end in ids:
-        raise ValueError("platform end node cannot also be a clamp")
     n = len(clamps)
     entries = []
     for k, (node, d) in enumerate(clamps):
@@ -230,7 +221,7 @@ def rigid_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
         entries.append((row_w, wrench_var(node), D_back.T))
     entries.append((row_w, wrench_var(end), EYE6))
     return EquationBlock(
-        source=f"rigid_platform({','.join(map(str, ids))};{end})",
+        source=f"rigid_platform({','.join(str(c) for c, _ in clamps)};{end})",
         rows=6 * n + 6,
         entries=entries,
     )
@@ -243,15 +234,6 @@ def flexible_platform_equations(clamp_links: Sequence[LinkStiffness], end: Hasha
     block equal to the sum of the per-link far-end blocks.
     """
     links = list(clamp_links)
-    if not links:
-        raise ValueError("flexible platform needs at least one virtual link")
-    clamp_ids = []
-    for link in links:
-        if link.nodes is None or link.nodes[1] != end:
-            raise ValueError("every virtual platform link must end at the platform end node")
-        clamp_ids.append(link.nodes[0])
-    if len(set(clamp_ids)) != len(clamp_ids):
-        raise ValueError("duplicate clamp node ids on flexible platform")
     n = len(links)
     entries = []
     k22_sum = np.zeros((6, 6))
@@ -266,7 +248,7 @@ def flexible_platform_equations(clamp_links: Sequence[LinkStiffness], end: Hasha
     entries.append((row_e, wrench_var(end), NEG_EYE6))
     entries.append((row_e, deflection_var(end), k22_sum))
     return EquationBlock(
-        source=f"flexible_platform({','.join(map(str, clamp_ids))};{end})",
+        source=f"flexible_platform({','.join(str(link.nodes[0]) for link in links)};{end})",
         rows=6 * n + 6,
         category="link",
         entries=entries,

@@ -4,6 +4,9 @@ Every two-node connection contributes exactly 12 scalar rows; an n-node
 rigid connection contributes 6n. Wrenches here are the efforts the joint
 applies to each connected link end, so equilibrium rows sum them to zero
 and Hooke rows use the restoring sign.
+
+`JointSpec` and `Model.add_junction` check each connection once, when the
+model records it; the emitters trust their input and raise nothing.
 """
 from __future__ import annotations
 
@@ -48,34 +51,33 @@ class JointSpec:
             if self.idealization not in ACTUATION_IDEALIZATIONS:
                 raise ValueError("actuated joint needs an idealization: 'as-rigid' or 'as-elastic'")
             if self.idealization == "as-elastic":
-                self._check_elastic()
+                _check_spring(self.basis, self.stiffness, "connection")
             return
         if self.basis is None:
             raise ValueError(f"{self.kind} joint needs a direction basis")
         if self.kind == "passive" and self.basis.p < 1:
             raise ValueError("passive joint needs at least one free direction (use a rigid joint)")
         if self.kind == "elastic":
-            self._check_elastic()
+            _check_spring(self.basis, self.stiffness, "connection")
 
-    def _check_elastic(self):
-        if self.basis is None:
-            raise ValueError("elastic connection needs a direction basis")
-        if self.basis.p < 1:
-            raise ValueError("elastic connection needs at least one elastic direction")
-        if self.stiffness is None:
-            raise ValueError("elastic connection needs a joint stiffness")
-        if self.stiffness.e != self.basis.p:
-            raise ValueError(f"joint stiffness is {self.stiffness.e}x{self.stiffness.e} "
-                             f"but the basis has {self.basis.p} elastic directions")
+
+def _check_spring(basis: JointBasis | None, stiffness: JointStiffness | None, what: str) -> None:
+    """Check that an elastic connection or support has a basis with at least
+    one elastic direction and a spring matrix over exactly those directions."""
+    if basis is None:
+        raise ValueError(f"elastic {what} needs a direction basis")
+    if basis.p < 1:
+        raise ValueError(f"elastic {what} needs at least one elastic direction")
+    if stiffness is None:
+        raise ValueError(f"elastic {what} needs a joint stiffness")
+    if stiffness.e != basis.p:
+        raise ValueError(f"{what} stiffness must be {basis.p}x{basis.p} for this basis, "
+                         f"got {stiffness.matrix.shape}")
 
 
 def rigid_joint_equations(nodes: Sequence[Hashable]) -> EquationBlock:
     """Weld of n coincident link ends: equal deflections, wrenches summing to zero."""
     nodes = list(nodes)
-    if len(nodes) < 2:
-        raise ValueError("a rigid joint connects at least two nodes")
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("duplicate node ids in rigid joint")
     last = nodes[-1]
     entries = []
     for k, node in enumerate(nodes[:-1]):
@@ -95,10 +97,6 @@ def passive_joint_equations(basis: JointBasis, nodes) -> EquationBlock:
     """Frictionless joint: rigid-direction compatibility and equilibrium, plus
     zero transmitted effort along each free direction on both sides."""
     i, j = nodes
-    if i == j:
-        raise ValueError("passive joint nodes must differ")
-    if basis.p < 1:
-        raise ValueError("passive joint needs at least one free direction (use a rigid joint)")
     r, p = basis.r, basis.p
     lr, lp = basis.lambda_rigid, basis.lambda_free
     entries = []
@@ -125,9 +123,7 @@ def elastic_joint_equations(basis: JointBasis, stiffness, nodes, preload=None) -
     carry the preload W0 at zero relative deflection.
     """
     i, j = nodes
-    if i == j:
-        raise ValueError("elastic joint nodes must differ")
-    Ke, w0 = _spring(basis, stiffness, preload, "joint", f"joint<{i},{j}>")
+    Ke, w0 = _spring(basis, stiffness, preload, f"joint<{i},{j}>")
     r, e = basis.r, basis.p
     lr, le = basis.lambda_rigid, basis.lambda_free
     entries = []
@@ -151,15 +147,12 @@ def elastic_joint_equations(basis: JointBasis, stiffness, nodes, preload=None) -
     )
 
 
-def _spring(basis: JointBasis, stiffness, preload, what: str, source: str) -> tuple:
+def _spring(basis: JointBasis, stiffness, preload, source: str) -> tuple:
     """(Ke, W0) of an elastic joint or support: its spring matrix over the
-    basis' elastic directions and its preload (zero when it has none)."""
+    basis' elastic directions and its preload (zero when it has none). The
+    shape was checked by `_check_spring` when the model recorded it."""
     stiffness = _joint_stiffness(stiffness, preload)
-    Ke, e, w0 = stiffness.matrix, basis.p, stiffness.preload
-    if e < 1:
-        raise ValueError(f"elastic {what} needs at least one elastic direction")
-    if Ke.shape != (e, e):
-        raise ValueError(f"{what} stiffness must be {e}x{e} for this basis, got {Ke.shape}")
+    Ke, w0 = stiffness.matrix, stiffness.preload
     if w0 is None:
         return Ke, np.zeros(6)
     if basis.r:
@@ -175,8 +168,6 @@ def _spring(basis: JointBasis, stiffness, preload, what: str, source: str) -> tu
 
 def actuated_joint_equations(spec: JointSpec) -> EquationBlock:
     """Actuated connection treated per its idealization (rigid or elastic)."""
-    if spec.kind != "actuated":
-        raise ValueError("spec must describe an actuated joint")
     if spec.idealization == "as-rigid":
         return rigid_joint_equations(spec.nodes)
     return elastic_joint_equations(spec.basis, spec.stiffness, spec.nodes)
@@ -195,17 +186,7 @@ def junction_equations(rigid_nodes: Sequence[Hashable],
     """
     rigid_nodes = list(rigid_nodes)
     attachments = [(node, basis) for node, basis in passive_attachments]
-    if not rigid_nodes:
-        raise ValueError("junction needs at least one carrier node")
     all_nodes = rigid_nodes + [n for n, _ in attachments]
-    if len(set(all_nodes)) != len(all_nodes):
-        raise ValueError("duplicate node ids in junction")
-    if len(all_nodes) < 2:
-        raise ValueError("junction must connect at least two nodes")
-    for _, basis in attachments:
-        if basis.p < 1:
-            raise ValueError("junction attachments must be passive (p >= 1); "
-                             "weld extra nodes into the carrier group instead")
     source = f"junction<{','.join(map(str, all_nodes))}>"
 
     entries = []

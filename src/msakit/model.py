@@ -1,7 +1,10 @@
 """Model container: nodes plus the element, joint, boundary and load catalogue.
 
 A Model is a mutable builder; assembly, stiffness extraction and solving live
-in the assembly module and treat the model as read-only.
+in the assembly module and treat the model as read-only. Every invariant of
+an element, connection, support or load point is checked once, by the
+`add_*` call that records it (for joints, by `JointSpec`); the emitters
+trust the model.
 """
 from __future__ import annotations
 
@@ -10,10 +13,11 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .boundary import SUPPORT_KINDS
 from .core import JointBasis, JointStiffness, _as_vector, _joint_stiffness
 from .elements import BeamSection, LinkStiffness, beam_stiffness
 from .errors import ModelError
-from .joints import JointSpec
+from .joints import JointSpec, _check_spring
 
 # Absolute slack, scaled by model extent, for "these joint nodes coincide".
 COINCIDENT_TOL = 1e-9
@@ -123,14 +127,20 @@ class Model:
     def add_rigid_platform(self, clamps: Sequence[Hashable], end: Hashable) -> None:
         clamps = tuple(clamps)
         self._require_nodes(list(clamps) + [end])
+        if not clamps:
+            raise ValueError("rigid platform needs at least one clamp node")
         if len(set(clamps)) != len(clamps):
             raise ModelError("duplicate clamp node ids on rigid platform")
+        if end in clamps:
+            raise ValueError("platform end node cannot also be a clamp")
         self.platforms.append(PlatformSpec(kind="rigid", clamps=clamps, end=end))
 
     def add_flexible_platform(self, clamp_stiffness: Mapping, end: Hashable) -> None:
         """Platform from virtual flexible links: {clamp node: 12x12 matrix}."""
         clamps = tuple(clamp_stiffness.keys())
         self._require_nodes(list(clamps) + [end])
+        if not clamps:
+            raise ValueError("flexible platform needs at least one virtual link")
         links = tuple(
             K if isinstance(K, LinkStiffness) and K.nodes == (c, end)
             else LinkStiffness.from_matrix(K.K if isinstance(K, LinkStiffness) else K, (c, end))
@@ -165,8 +175,15 @@ class Model:
         passive = tuple((n, b) for n, b in passive_nodes)
         all_nodes = list(rigid_nodes) + [n for n, _ in passive]
         self._require_nodes(all_nodes)
+        if not rigid_nodes:
+            raise ValueError("junction needs at least one carrier node")
         if len(set(all_nodes)) != len(all_nodes):
             raise ModelError("duplicate node ids in junction")
+        if len(all_nodes) < 2:
+            raise ValueError("junction must connect at least two nodes")
+        if any(basis.p < 1 for _, basis in passive):
+            raise ValueError("junction attachments must be passive (p >= 1); "
+                             "weld extra nodes into the carrier group instead")
         self._require_coincident(all_nodes, "junction")
         spec = JunctionSpec(rigid_nodes=tuple(rigid_nodes), passive_nodes=passive)
         self.connections.append(spec)
@@ -182,13 +199,22 @@ class Model:
                              "compose behaviors through an intermediate node and a joint")
         if node in self.load_points:
             raise ModelError(f"node {node!r} is a load point and cannot also be supported")
-        if kind not in ("rigid", "passive", "elastic"):
+        if kind not in SUPPORT_KINDS:
             raise ModelError(f"unknown support kind {kind!r}")
         if kind != "rigid" and basis is None:
             raise ModelError(f"{kind} support needs a direction basis")
         stiffness = self._stiffness(stiffness, preload)
-        if kind == "elastic" and stiffness is None:
-            raise ModelError("elastic support needs a stiffness matrix")
+        if kind == "passive":
+            if basis.p < 1:
+                raise ValueError("passive support needs at least one free direction "
+                                 "(use a rigid support)")
+            if basis.r < 1:
+                raise ValueError("a support with no rigid direction constrains nothing; "
+                                 "model a free end with a load node instead")
+        if kind == "elastic":
+            if stiffness is None:
+                raise ModelError("elastic support needs a stiffness matrix")
+            _check_spring(basis, stiffness, "support")
         self.supports[node] = SupportSpec(node=node, kind=kind, basis=basis, stiffness=stiffness)
 
     def add_load_point(self, end_node: Hashable, incident_nodes: Sequence[Hashable] | None = None) -> None:
@@ -199,6 +225,10 @@ class Model:
         """
         nodes = tuple(incident_nodes) if incident_nodes is not None else (end_node,)
         self._require_nodes(list(nodes) + [end_node])
+        if not nodes:
+            raise ValueError("a load point needs at least one incident node")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("duplicate node ids at load point")
         if end_node in self.supports:
             raise ModelError(f"node {end_node!r} is supported and cannot carry a load point")
         if end_node in self.load_points:

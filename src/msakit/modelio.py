@@ -7,22 +7,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
-from .core import JOINT_BASIS_PRESETS, JointStiffness, make_joint_basis
+from .boundary import SUPPORT_KINDS
+from .core import JOINT_BASIS_PRESETS, JointStiffness, joint_basis_preset, make_joint_basis
 from .elements import LinkStiffness
-from .errors import FormatError
+from .errors import FormatError, ModelError
+from .joints import ACTUATION_IDEALIZATIONS, JOINT_KINDS
 from .model import Model
 
-_JOINT_TYPES = ("rigid", "passive", "elastic", "actuated", "junction")
-_SUPPORT_TYPES = ("rigid", "passive", "elastic")
 _LINK_TYPES = ("beam", "flexible", "rigid")
 
 
-@dataclass(eq=False)
+@dataclass
 class ModelDocument:
     """Validated, normalized model description (plain lists and dicts)."""
 
@@ -34,62 +34,62 @@ class ModelDocument:
     loads: list = field(default_factory=list)
     end_effector: str = ""
 
-    def __eq__(self, other):
-        if not isinstance(other, ModelDocument):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
     def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "links": self.links,
-            "platforms": self.platforms,
-            "joints": self.joints,
-            "supports": self.supports,
-            "loads": self.loads,
-            "end_effector": self.end_effector,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_model(self) -> Model:
-        """Materialize the document as an analyzable Model."""
+        """Materialize the document as an analyzable Model.
+
+        A builder error is raised as a FormatError at the entry that caused
+        it, such as `$.joints[2]`.
+        """
         m = Model()
         for entry in self.nodes:
             m.add_node(entry["id"], entry["position"])
-        for entry in self.links:
-            kind = entry["type"]
-            i, j = entry["nodes"]
-            if kind == "beam":
-                m.add_beam(i, j, **entry["section"])
-            elif kind == "flexible":
-                m.add_flexible_link(i, j, np.array(entry["stiffness"]))
-            else:
-                m.add_rigid_link(i, j)
-        for entry in self.platforms:
-            if entry["type"] == "rigid":
-                m.add_rigid_platform(entry["clamps"], entry["end"])
-            else:
-                stiff = {c: np.array(K) for c, K in zip(entry["clamps"], entry["stiffness"])}
-                m.add_flexible_platform(stiff, entry["end"])
-        for entry in self.joints:
-            if entry["type"] == "junction":
-                passive = [(p["node"], _basis_object(p["basis"])) for p in entry["passive_nodes"]]
-                m.add_junction(entry["rigid_nodes"], passive)
-                continue
-            basis = _basis_object(entry["basis"]) if entry.get("basis") else None
-            stiffness = np.array(entry["stiffness"]) if entry.get("stiffness") else None
-            preload = entry.get("preload")
-            m.add_joint(entry["type"], entry["nodes"], basis=basis, stiffness=stiffness,
-                        preload=preload, idealization=entry.get("idealization"))
-        for entry in self.supports:
-            basis = _basis_object(entry["basis"]) if entry.get("basis") else None
-            stiffness = np.array(entry["stiffness"]) if entry.get("stiffness") else None
-            m.add_support(entry["node"], entry["type"], basis=basis,
-                          stiffness=stiffness, preload=entry.get("preload"))
-        incident = None
-        for entry in self.loads:
-            if entry["node"] != self.end_effector:
-                m.add_load_point(entry["node"])
-        m.set_end_effector(self.end_effector, incident)
+        path = "$"
+        try:
+            for k, entry in enumerate(self.links):
+                path = f"$.links[{k}]"
+                kind = entry["type"]
+                i, j = entry["nodes"]
+                if kind == "beam":
+                    m.add_beam(i, j, **entry["section"])
+                elif kind == "flexible":
+                    m.add_flexible_link(i, j, np.array(entry["stiffness"]))
+                else:
+                    m.add_rigid_link(i, j)
+            for k, entry in enumerate(self.platforms):
+                path = f"$.platforms[{k}]"
+                if entry["type"] == "rigid":
+                    m.add_rigid_platform(entry["clamps"], entry["end"])
+                else:
+                    stiff = {c: np.array(K) for c, K in zip(entry["clamps"], entry["stiffness"])}
+                    m.add_flexible_platform(stiff, entry["end"])
+            for k, entry in enumerate(self.joints):
+                path = f"$.joints[{k}]"
+                if entry["type"] == "junction":
+                    passive = [(p["node"], _basis_object(p["basis"]))
+                               for p in entry["passive_nodes"]]
+                    m.add_junction(entry["rigid_nodes"], passive)
+                    continue
+                basis = _basis_object(entry["basis"]) if entry.get("basis") else None
+                stiffness = np.array(entry["stiffness"]) if entry.get("stiffness") else None
+                m.add_joint(entry["type"], entry["nodes"], basis=basis, stiffness=stiffness,
+                            preload=entry.get("preload"), idealization=entry.get("idealization"))
+            for k, entry in enumerate(self.supports):
+                path = f"$.supports[{k}]"
+                basis = _basis_object(entry["basis"]) if entry.get("basis") else None
+                stiffness = np.array(entry["stiffness"]) if entry.get("stiffness") else None
+                m.add_support(entry["node"], entry["type"], basis=basis,
+                              stiffness=stiffness, preload=entry.get("preload"))
+            for k, entry in enumerate(self.loads):
+                path = f"$.loads[{k}]"
+                if entry["node"] != self.end_effector:
+                    m.add_load_point(entry["node"])
+            path = "$.end_effector"
+            m.set_end_effector(self.end_effector)
+        except (ModelError, ValueError) as exc:
+            raise FormatError(path, str(exc)) from exc
         return m
 
     def load_values(self) -> dict:
@@ -99,7 +99,6 @@ class ModelDocument:
 
 def _basis_object(spec):
     if isinstance(spec, str):
-        from .core import joint_basis_preset
         return joint_basis_preset(spec)
     return make_joint_basis(spec["rigid"], spec["free"])
 
@@ -282,7 +281,7 @@ def parse_model(text: str) -> ModelDocument:
             if not isinstance(r.data, dict) or "type" not in r.data:
                 r.fail("joint entry needs a type")
             kind = r.child("type").string()
-            if kind not in _JOINT_TYPES:
+            if kind not in JOINT_KINDS + ("junction",):
                 r.child("type").fail(f"unknown joint type {kind!r}")
             if kind == "junction":
                 r.require_keys(allowed=("type", "rigid_nodes", "passive_nodes"),
@@ -303,7 +302,7 @@ def parse_model(text: str) -> ModelDocument:
             entry = _read_spring(r, {"type": kind, "nodes": nodes})
             if "idealization" in r.data:
                 ideal = r.child("idealization").string()
-                if ideal not in ("as-rigid", "as-elastic"):
+                if ideal not in ACTUATION_IDEALIZATIONS:
                     r.child("idealization").fail(f"unknown idealization {ideal!r}")
                 entry["idealization"] = ideal
             doc.joints.append(entry)
@@ -313,7 +312,7 @@ def parse_model(text: str) -> ModelDocument:
             r.require_keys(allowed=("node", "type", "basis", "stiffness", "preload"),
                            required=("node", "type"))
             kind = r.child("type").string()
-            if kind not in _SUPPORT_TYPES:
+            if kind not in SUPPORT_KINDS:
                 r.child("type").fail(f"unknown support type {kind!r}")
             doc.supports.append(_read_spring(
                 r, {"node": known(r, r.child("node").string()), "type": kind}))
@@ -363,25 +362,12 @@ def document_from_model(model: Model) -> ModelDocument:
                                   for n, b in spec.passive_nodes],
             })
             continue
-        entry = {"type": spec.kind, "nodes": list(spec.nodes)}
-        if spec.basis is not None:
-            entry["basis"] = _basis_dict(spec.basis)
-        if spec.stiffness is not None:
-            entry["stiffness"] = spec.stiffness.matrix.tolist()
-            if spec.stiffness.preload is not None:
-                entry["preload"] = spec.stiffness.preload.tolist()
+        entry = _write_spring(spec, {"type": spec.kind, "nodes": list(spec.nodes)})
         if spec.idealization is not None:
             entry["idealization"] = spec.idealization
         doc.joints.append(entry)
     for support in model.supports.values():
-        entry = {"node": support.node, "type": support.kind}
-        if support.basis is not None:
-            entry["basis"] = _basis_dict(support.basis)
-        if support.stiffness is not None:
-            entry["stiffness"] = support.stiffness.matrix.tolist()
-            if support.stiffness.preload is not None:
-                entry["preload"] = support.stiffness.preload.tolist()
-        doc.supports.append(entry)
+        doc.supports.append(_write_spring(support, {"node": support.node, "type": support.kind}))
     if model.end_effector is None:
         raise FormatError("$.end_effector", "model has no end effector")
     for node in model.load_points:
@@ -389,6 +375,18 @@ def document_from_model(model: Model) -> ModelDocument:
             doc.loads.append({"node": node, "wrench": [0.0] * 6})
     doc.end_effector = model.end_effector
     return doc
+
+
+def _write_spring(spec, entry: dict) -> dict:
+    """`entry` with the basis, spring matrix and preload of a joint or support
+    spec, where it has them; the inverse of `_read_spring`."""
+    if spec.basis is not None:
+        entry["basis"] = _basis_dict(spec.basis)
+    if spec.stiffness is not None:
+        entry["stiffness"] = spec.stiffness.matrix.tolist()
+        if spec.stiffness.preload is not None:
+            entry["preload"] = spec.stiffness.preload.tolist()
+    return entry
 
 
 def _basis_dict(basis) -> dict:

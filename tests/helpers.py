@@ -105,6 +105,22 @@ def sprung_model() -> msakit.Model:
     return m
 
 
+def free_link_end() -> msakit.Model:
+    """Two welded beams with the far end d left free, beside a clamped stub
+    that carries the end effector: 66 equations for 72 unknowns."""
+    m = msakit.Model()
+    for node, position in (("a", [0, 0, 0]), ("b", [1.0, 0, 0]), ("c", [1.0, 0, 0]),
+                           ("d", [2.0, 0, 0]), ("h", [0, 1.0, 0]), ("e", [1.0, 1.0, 0])):
+        m.add_node(node, position)
+    for i, j in (("a", "b"), ("c", "d"), ("h", "e")):
+        m.add_beam(i, j, **section_kwargs())
+    m.add_joint("rigid", ("b", "c"))
+    m.add_support("a", "rigid")
+    m.add_support("h", "rigid")
+    m.set_end_effector("e")
+    return m
+
+
 def stack_dense(blocks, variables) -> np.ndarray:
     """Vertically stack several blocks over a shared variable ordering."""
     parts = [b.dense(variables)[0] for b in blocks]

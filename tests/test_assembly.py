@@ -1,4 +1,6 @@
 """Global assembly, partitioning, stiffness extraction and loaded solves."""
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -9,7 +11,8 @@ from msakit.core import block_rotation
 from msakit.equations import deflection_var, wrench_var
 
 from helpers import (cantilever, dense_audit, entries_dense, flexible_platform_model,
-                     random_chain, rel_fro, section_kwargs, sprung_model, stack_dense)
+                     free_link_end, random_chain, rel_fro, section_kwargs, sprung_model,
+                     stack_dense)
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
@@ -182,6 +185,47 @@ class TestAssemble:
         assert system.wrench_cols("b") == slice(6, 12)
         assert system.deflection_cols("a") == slice(12, 18)
         assert system.deflection_cols("b") == slice(18, 24)
+
+
+RIGID6 = msakit.make_joint_basis(list(np.eye(6)), [])
+
+# Inputs the builder once accepted and only `assemble` rejected, each with
+# the message it raised there.
+INVALID_INPUTS = {
+    "passive support, free basis": (
+        lambda m: m.add_support("a", "passive", basis=msakit.joint_basis_preset("free")),
+        "a support with no rigid direction constrains nothing"),
+    "passive support, all-rigid basis": (
+        lambda m: m.add_support("a", "passive", basis=RIGID6),
+        "passive support needs at least one free direction (use a rigid support)"),
+    "elastic support, 2x2 stiffness on revolute_z": (
+        lambda m: m.add_support("a", "elastic", basis=RZ, stiffness=np.eye(2)),
+        "support stiffness must be 1x1 for this basis, got (2, 2)"),
+    "junction with one node": (
+        lambda m: m.add_junction(("b",)), "junction must connect at least two nodes"),
+    "junction, all-rigid attachment": (
+        lambda m: m.add_junction(("b", "c"), [("d", RIGID6)]),
+        "junction attachments must be passive (p >= 1)"),
+    "rigid platform, end is a clamp": (
+        lambda m: m.add_rigid_platform(["a", "e"], "e"),
+        "platform end node cannot also be a clamp"),
+    "rigid platform, no clamps": (
+        lambda m: m.add_rigid_platform([], "e"), "rigid platform needs at least one clamp node"),
+    "load point, no incident nodes": (
+        lambda m: m.add_load_point("e", []), "a load point needs at least one incident node"),
+    "load point, repeated incident node": (
+        lambda m: m.add_load_point("e", ["b", "b"]), "duplicate node ids at load point"),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_INPUTS)
+def test_invalid_input_raises_at_its_add_call(name):
+    add, message = INVALID_INPUTS[name]
+    m = msakit.Model()
+    for node, x in (("a", 0.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("e", 2.0)):
+        m.add_node(node, [x, 0, 0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        add(m)
 
 
 class TestPartition:
@@ -604,6 +648,7 @@ SINGULAR_MODELS = {
     "three free pendulums": lambda: pendulum_chain(3),
     "duplicated joint (non-square)": duplicated_joint,
     "unsupported beam (rows < unknowns)": free_beam,
+    "free link end (rows < unknowns)": free_link_end,
     "free pendulum, no end effector": lambda: pendulum_chain(1, end_effector=False),
 }
 

@@ -34,8 +34,10 @@ class TestSupportRows:
 
     def test_unconstrained_support_rejected(self):
         free = msakit.joint_basis_preset("free")
+        m = msakit.Model()
+        m.add_node("j", [0, 0, 0])
         with pytest.raises(ValueError):
-            passive_support_equations("j", free)
+            m.add_support("j", "passive", basis=free)
 
     def test_elastic_support_counts_and_hooke_sign(self):
         k = 400.0
@@ -75,10 +77,13 @@ class TestExternalLoadRows:
         np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)
 
     def test_duplicates_rejected(self):
+        m = msakit.Model()
+        for node in "ie":
+            m.add_node(node, [0, 0, 0])
         with pytest.raises(ValueError):
-            external_load_equations(["i", "i"], "e")
+            m.add_load_point("e", ["i", "i"])
         with pytest.raises(ValueError):
-            external_load_equations([], "e")
+            m.add_load_point("e", [])
 
 
 class TestReactions:

@@ -141,10 +141,14 @@ class TestFlexibleLinkEquations:
         })
         assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(link.K)
 
-    def test_requires_node_pair(self):
-        link = msakit.beam_stiffness(_section())
-        with pytest.raises(ValueError):
-            flexible_link_equations(link)
+    def test_builder_binds_the_node_pair(self):
+        # The emitter reads the link's node pair; every builder route sets it.
+        m = msakit.Model()
+        m.add_node("i", [0, 0, 0])
+        m.add_node("j", [1.0, 0, 0])
+        link = m.add_flexible_link("i", "j", msakit.beam_stiffness(_section()))
+        assert link.nodes == ("i", "j")
+        assert flexible_link_equations(link).variables[0] == wrench_var("i")
 
 
 class TestRigidLinkEquations:
@@ -189,8 +193,10 @@ class TestRigidLinkEquations:
         assert np.linalg.matrix_rank(M, tol=1e-10 * s_max) == 12
 
     def test_same_node_rejected(self):
-        with pytest.raises(ValueError):
-            rigid_link_equations([1, 0, 0], ("i", "i"))
+        m = msakit.Model()
+        m.add_node("i", [0, 0, 0])
+        with pytest.raises(msakit.ModelError):
+            m.add_rigid_link("i", "i")
 
 
 class TestRigidPlatformEquations:
@@ -242,12 +248,17 @@ class TestRigidPlatformEquations:
         np.testing.assert_allclose(r, np.zeros(24), atol=1e-12)
 
     def test_duplicate_clamps_rejected(self):
-        with pytest.raises(ValueError):
-            rigid_platform_equations([("i", np.zeros(3)), ("i", np.ones(3))], "e")
+        m = msakit.Model()
+        m.add_node("i", [0, 0, 0])
+        m.add_node("e", [1.0, 1.0, 1.0])
+        with pytest.raises(msakit.ModelError):
+            m.add_rigid_platform(["i", "i"], "e")
 
     def test_needs_a_clamp(self):
+        m = msakit.Model()
+        m.add_node("e", [0, 0, 0])
         with pytest.raises(ValueError):
-            rigid_platform_equations([], "e")
+            m.add_rigid_platform([], "e")
 
 
 class TestFlexiblePlatformEquations:
@@ -285,10 +296,13 @@ class TestFlexiblePlatformEquations:
         r = block_residual(block, values)
         assert np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(l.K) for l in links)
 
-    def test_mismatched_end_rejected(self):
+    def test_builder_binds_links_to_the_end_node(self):
         link = msakit.beam_stiffness(_section()).with_nodes("c0", "not_e")
-        with pytest.raises(ValueError):
-            flexible_platform_equations([link], "e")
+        m = msakit.Model()
+        m.add_node("c0", [0, 0, 0])
+        m.add_node("e", [1.0, 0, 0])
+        m.add_flexible_platform({"c0": link}, "e")
+        assert [k.nodes for k in m.platforms[0].stiffnesses] == [("c0", "e")]
 
     def test_row_category_is_link(self):
         block = flexible_platform_equations(self._links(2), "e")

@@ -38,9 +38,9 @@ class TestRigidJoint:
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            rigid_joint_equations(("i", "i"))
+            msakit.JointSpec(kind="rigid", nodes=("i", "i"))
         with pytest.raises(ValueError):
-            rigid_joint_equations(("i",))
+            msakit.JointSpec(kind="rigid", nodes=("i",))
 
 
 class TestPassiveJoint:
@@ -95,7 +95,7 @@ class TestPassiveJoint:
     def test_fully_rigid_basis_rejected(self):
         rigid6 = msakit.make_joint_basis(list(np.eye(6)), [])
         with pytest.raises(ValueError):
-            passive_joint_equations(rigid6, ("i", "j"))
+            msakit.JointSpec(kind="passive", nodes=("i", "j"), basis=rigid6)
 
 
 class TestElasticJoint:
@@ -152,8 +152,9 @@ class TestElasticJoint:
             elastic_joint_equations(RZ, [[100.0]], ("i", "j"), preload=w0)
 
     def test_stiffness_shape_must_match_basis(self):
-        with pytest.raises(ValueError):
-            elastic_joint_equations(RZ, np.eye(2), ("i", "j"))
+        with pytest.raises(ValueError, match=r"must be 1x1 for this basis, got \(2, 2\)"):
+            msakit.JointSpec(kind="elastic", nodes=("i", "j"), basis=RZ,
+                             stiffness=msakit.JointStiffness(np.eye(2)))
 
     def test_indefinite_stiffness_rejected(self):
         with pytest.raises(ValueError):
@@ -242,8 +243,15 @@ class TestJunction:
     def test_rejects_non_passive_attachment(self):
         rigid6 = msakit.make_joint_basis(list(np.eye(6)), [])
         with pytest.raises(ValueError):
-            junction_equations(("a", "b"), [("c", rigid6)])
+            _coincident("abc").add_junction(("a", "b"), [("c", rigid6)])
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            junction_equations(("a", "b"), [("a", RZ)])
+        with pytest.raises(msakit.ModelError):
+            _coincident("ab").add_junction(("a", "b"), [("a", RZ)])
+
+
+def _coincident(nodes) -> msakit.Model:
+    m = msakit.Model()
+    for node in nodes:
+        m.add_node(node, [0, 0, 0])
+    return m

@@ -1,5 +1,9 @@
 """Model documents, round-trips and the command-line interface."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 import msakit
 from msakit.cli import main
 
-from helpers import flexible_platform_model, section_kwargs, sprung_model
+from helpers import flexible_platform_model, free_link_end, section_kwargs, sprung_model
 
 
 def cantilever_doc(load=None) -> dict:
@@ -251,6 +255,32 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert "0 mechanisms" in lines[0]
         assert lines[1] == "  states of self-stress: 6"
+
+    def test_check_survives_rows_fewer_than_unknowns(self, tmp_path):
+        # Padded to square, this audit's held block has empty rows, on which
+        # SuperLU used to crash the process; each run is its own process so
+        # that a crash fails this test alone.
+        path = tmp_path / "model.json"
+        path.write_text(msakit.serialize_model(msakit.document_from_model(free_link_end())))
+        env = dict(os.environ, PYTHONPATH=str(Path(msakit.__file__).resolve().parents[1]))
+        for _ in range(5):
+            run = subprocess.run([sys.executable, "-m", "msakit.cli", "check", str(path)],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 1, run.stderr
+            assert "6 mechanisms" in run.stdout.splitlines()[0]
+
+    @pytest.mark.parametrize("section, entry", [
+        ("joints", {"type": "elastic", "nodes": ["b", "c"], "basis": "revolute_z",
+                    "stiffness": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("supports", {"node": "a", "type": "passive", "basis": "free"}),
+    ], ids=["elastic joint, 2x2 on revolute_z", "passive support, free basis"])
+    def test_builder_error_carries_its_path(self, tmp_path, capsys, section, entry):
+        data = cantilever_doc()
+        data["nodes"].append({"id": "c", "position": [1.0, 0.0, 0.0]})
+        data[section] = [entry]
+        assert main(["check", self._write(tmp_path, data)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["path"]) == ("format", f"$.{section}[0]")
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/m.json"]) == 1
