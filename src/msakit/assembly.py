@@ -71,23 +71,26 @@ def _platform_block(model: Model, platform: PlatformSpec) -> EquationBlock:
 
 
 def _connection_block(spec) -> EquationBlock:
+    """A junction, or a joint mapped onto the connection template: a rigid or
+    as-rigid joint is a carrier alone; any other joint (i, j) attaches i to
+    the carrier (j,), with no spring for a passive joint."""
     if isinstance(spec, JunctionSpec):
-        return _joints.junction_equations(spec.rigid_nodes, spec.passive_nodes)
-    if spec.kind == "rigid":
-        return _joints.rigid_joint_equations(spec.nodes)
-    if spec.kind == "passive":
-        return _joints.passive_joint_equations(spec.basis, spec.nodes)
-    if spec.kind == "elastic":
-        return _joints.elastic_joint_equations(spec.basis, spec.stiffness, spec.nodes)
-    return _joints.actuated_joint_equations(spec)
+        attachments = [(node, basis, None) for node, basis in spec.passive_nodes]
+        source = f"junction<{','.join(map(str, spec.nodes))}>"
+        return _joints.connection_equations(spec.rigid_nodes, attachments, source)
+    source = f"joint<{','.join(map(str, spec.nodes))}>"
+    if spec.kind == "rigid" or (spec.kind == "actuated" and spec.idealization == "as-rigid"):
+        return _joints.connection_equations(spec.nodes, (), source)
+    i, j = spec.nodes
+    stiffness = None if spec.kind == "passive" else spec.stiffness
+    return _joints.connection_equations((j,), [(i, spec.basis, stiffness)], source)
 
 
 def _support_block(support) -> EquationBlock:
     if support.kind == "rigid":
-        return _boundary.rigid_support_equations(support.node)
-    if support.kind == "passive":
-        return _boundary.passive_support_equations(support.node, support.basis)
-    return _boundary.elastic_support_equations(support.node, support.basis, support.stiffness)
+        return _boundary.support_equations(support.node, _boundary.CLAMP, None)
+    stiffness = support.stiffness if support.kind == "elastic" else None
+    return _boundary.support_equations(support.node, support.basis, stiffness)
 
 
 @dataclass(eq=False)
@@ -217,8 +220,10 @@ def assemble(model: Model) -> GlobalSystem:
 
     Raises ModelError for dangling nodes, a row/column mismatch (the error
     carries a per-source row breakdown to make miscounts findable), a node
-    that two connections claim or a node that only one block touches (a
-    free link end: its wrench rows are missing even where the count closes).
+    that two connections claim, a node that only one block touches (a
+    free link end: its wrench rows are missing even where the count closes)
+    or a support on a node that no link or platform touches (its wrench
+    would be the connection's effort, not the reaction).
     """
     if not model.positions:
         raise ModelError("model has no nodes")
@@ -245,6 +250,11 @@ def assemble(model: Model) -> GlobalSystem:
     if loose:
         raise ModelError(f"nodes touched by one block only: {loose!r}; "
                          "give each a connection, a support or a load point")
+    link_ends = {node for block in blocks[:first] for _, node in block.variables}
+    unlinked = [node for node in model.supports if node not in link_ends]
+    if unlinked:
+        raise ModelError(f"supports on nodes that no link or platform touches: {unlinked!r}; "
+                         "support a link end instead")
     return system
 
 

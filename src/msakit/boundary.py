@@ -1,8 +1,11 @@
-"""Supports (rigid, passive, elastic) and external load equilibrium rows.
+"""Supports and external load equilibrium rows.
 
-Every support contributes exactly six scalar rows. Support wrenches are the
-efforts the ground applies to the supported link end, so elastic supports use
-the restoring Hooke sign: Le W_j + Ke Le dt_j = Le W0.
+A support grounds one link end through the connection template of the
+joints module, with the ground as carrier: its basis splits the six
+directions into rigid ones, held at zero deflection, and free ones, whose
+rows read Lf W_j + Ke Lf dt_j = Lf W0 (no spring term for a pin). A clamp
+is the all-rigid basis `CLAMP`. Every support contributes six rows. Support
+wrenches are the efforts the ground applies to the supported link end.
 
 `Model.add_support` and `Model.add_load_point` check each support and load
 point once, when the model records it; the emitters trust their input and
@@ -14,44 +17,29 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import JointBasis, Wrench, shift_wrench
+from .core import JointBasis, JointStiffness, Wrench, shift_wrench
 from .equations import EYE6, EquationBlock, deflection_var, wrench_var
-from .joints import _spring
+from .errors import ModelError
 
 SUPPORT_KINDS = ("rigid", "passive", "elastic")
 
-
-def rigid_support_equations(node: Hashable) -> EquationBlock:
-    """Clamp: all six deflection components pinned to zero."""
-    return EquationBlock(
-        source=f"support@{node}",
-        rows=6,
-        entries=[(0, deflection_var(node), EYE6)],
-    )
+# Basis of a clamp: all six directions rigid.
+CLAMP = JointBasis(EYE6, np.zeros((0, 6)))
 
 
-def passive_support_equations(node: Hashable, basis: JointBasis) -> EquationBlock:
-    """Pinned support: rigid directions blocked, free directions transmit nothing."""
-    entries = [
-        (0, deflection_var(node), basis.lambda_rigid),
-        (basis.r, wrench_var(node), basis.lambda_free),
-    ]
-    return EquationBlock(source=f"support@{node}", rows=6, entries=entries)
-
-
-def elastic_support_equations(node: Hashable, basis: JointBasis,
-                              stiffness, preload=None) -> EquationBlock:
-    """Sprung support: rigid directions blocked, elastic directions obey
-    Le W_j + Ke Le dt_j = Le W0."""
-    Ke, w0 = _spring(basis, stiffness, preload, f"support@{node}")
-    r, le = basis.r, basis.lambda_free
-    entries = []
-    if r:
-        entries.append((0, deflection_var(node), basis.lambda_rigid))
-    entries.append((r, deflection_var(node), Ke @ le))
-    entries.append((r, wrench_var(node), le))
+def support_equations(node: Hashable, basis: JointBasis,
+                      stiffness: JointStiffness | None) -> EquationBlock:
+    """Lr dt_j = 0 along the rigid directions, and Lf W_j + Ke Lf dt_j = Lf W0
+    along the free ones (no Ke term when `stiffness` is None)."""
+    r, lf = basis.r, basis.lambda_free
+    entries = [(0, deflection_var(node), basis.lambda_rigid)] if r else []
     rhs = np.zeros(6)
-    rhs[r:] = le @ w0
+    if basis.p:
+        if stiffness is not None:
+            entries.append((r, deflection_var(node), stiffness.matrix @ lf))
+            if stiffness.preload is not None:
+                rhs[r:] = lf @ stiffness.preload
+        entries.append((r, wrench_var(node), lf))
     return EquationBlock(source=f"support@{node}", rows=6, entries=entries, rhs=rhs)
 
 
@@ -74,7 +62,7 @@ def external_load_equations(nodes: Sequence[Hashable], end_node: Hashable) -> Eq
 def support_reaction(state, node: Hashable) -> Wrench:
     """Wrench the support applies to the structure at `node`, from a solved state."""
     if node not in state.support_nodes:
-        raise ValueError(f"node {node!r} is not a support")
+        raise ModelError(f"node {node!r} is not a support")
     return Wrench.from_array(state.wrench_at(node))
 
 

@@ -188,7 +188,7 @@ def main(argv=None) -> int:
         return _error({"error": "io", "detail": str(exc)})
     except FormatError as exc:
         return _error({"error": "format", "path": exc.path, "detail": exc.reason})
-    except (ModelError, ValueError) as exc:
+    except ValueError as exc:
         return _error({"error": "model", "detail": str(exc)})
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .errors import ModelError
+
 # Orthonormality tolerance for joint direction bases.
 ORTHONORMAL_TOL = 1e-12
 # Tolerance for rotation-matrix checks (R^T R = I, det R = +1).
@@ -17,9 +19,9 @@ ROTATION_TOL = 1e-9
 def _as_vector(v, size: int, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.shape != (size,):
-        raise ValueError(f"{name} must have {size} components, got shape {np.shape(v)}")
+        raise ModelError(f"{name} must have {size} components, got shape {np.shape(v)}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ModelError(f"{name} has non-finite entries")
     return a
 
 
@@ -44,7 +46,7 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     a = _as_vector(axis, 3, "axis")
     n = np.linalg.norm(a)
     if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
+        raise ModelError("rotation axis must be nonzero")
     a = a / n
     s = skew(a)
     return np.eye(3) + np.sin(angle) * s + (1.0 - np.cos(angle)) * (s @ s)
@@ -170,10 +172,10 @@ def rotate_link_stiffness(K, R) -> np.ndarray:
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (12, 12):
-        raise ValueError(f"stiffness matrix must be 12x12, got {K.shape}")
+        raise ModelError(f"stiffness matrix must be 12x12, got {K.shape}")
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3) or not is_rotation(R):
-        raise ValueError("R must be a proper rotation matrix (orthonormal, det +1)")
+        raise ModelError("R must be a proper rotation matrix (orthonormal, det +1)")
     return _rotate_blocks(K, R)
 
 
@@ -203,12 +205,12 @@ class JointBasis:
         object.__setattr__(self, "u_free", _freeze(uf))
         stacked = np.vstack([self.u_rigid, self.u_free])
         if stacked.shape[0] != 6:
-            raise ValueError(f"joint basis needs exactly 6 vectors, got {stacked.shape[0]}")
+            raise ModelError(f"joint basis needs exactly 6 vectors, got {stacked.shape[0]}")
         if not np.isfinite(stacked).all():
-            raise ValueError("joint basis has non-finite entries")
+            raise ModelError("joint basis has non-finite entries")
         gram = stacked @ stacked.T
         if np.max(np.abs(gram - np.eye(6))) > ORTHONORMAL_TOL:
-            raise ValueError("joint basis vectors are not orthonormal to 1e-12")
+            raise ModelError("joint basis vectors are not orthonormal to 1e-12")
 
     @property
     def r(self) -> int:
@@ -231,7 +233,7 @@ class JointBasis:
     def rotated(self, R) -> "JointBasis":
         """Basis expressed after rotating the global frame by R."""
         if not is_rotation(R):
-            raise ValueError("R must be a proper rotation matrix")
+            raise ModelError("R must be a proper rotation matrix")
         Q = block_rotation(R, 2)
         return JointBasis(self.u_rigid @ Q.T, self.u_free @ Q.T)
 
@@ -266,7 +268,7 @@ def joint_basis_preset(name: str) -> JointBasis:
     elif name == "free":
         free = [0, 1, 2, 3, 4, 5]
     else:
-        raise ValueError(f"unknown joint basis preset {name!r}")
+        raise ModelError(f"unknown joint basis preset {name!r}")
     rigid = [i for i in range(6) if i not in free]
     return JointBasis(eye[rigid], eye[free])
 
@@ -295,14 +297,14 @@ class JointStiffness:
         if Ke.ndim == 0:
             Ke = Ke.reshape(1, 1)
         if Ke.ndim != 2 or Ke.shape[0] != Ke.shape[1] or not (1 <= Ke.shape[0] <= 6):
-            raise ValueError(f"joint stiffness must be e x e with 1 <= e <= 6, got {Ke.shape}")
+            raise ModelError(f"joint stiffness must be e x e with 1 <= e <= 6, got {Ke.shape}")
         if not np.isfinite(Ke).all():
-            raise ValueError("joint stiffness matrix has non-finite entries")
+            raise ModelError("joint stiffness matrix has non-finite entries")
         scale = max(np.max(np.abs(Ke)), 1.0)
         if np.max(np.abs(Ke - Ke.T)) > 1e-12 * scale:
-            raise ValueError("joint stiffness matrix must be symmetric to 1e-12")
+            raise ModelError("joint stiffness matrix must be symmetric to 1e-12")
         if np.min(np.linalg.eigvalsh(Ke)) <= 0.0:
-            raise ValueError("joint stiffness matrix must be positive definite")
+            raise ModelError("joint stiffness matrix must be positive definite")
         object.__setattr__(self, "matrix", _freeze(Ke))
         if self.preload is not None:
             object.__setattr__(self, "preload", _freeze(_as_vector(self.preload, 6, "preload")))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import _as_vector, _freeze, _rotate_blocks, _transport6
 from .equations import EYE6, NEG_EYE6, EquationBlock, deflection_var, wrench_var
+from .errors import ModelError
 
 # Relative symmetry tolerance for user-supplied 12x12 matrices (CAD-extracted
 # matrices carry numerical asymmetry); worse than this is rejected.
@@ -42,11 +43,11 @@ class BeamSection:
         for name in ("E", "G", "A", "L", "Iy", "Iz", "J"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"beam section {name} must be positive, got {value}")
+                raise ModelError(f"beam section {name} must be positive, got {value}")
         axis = _as_vector(self.axis, 3, "axis")
         n = np.linalg.norm(axis)
         if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"beam axis must be unit-norm, |axis| = {n}")
+            raise ModelError(f"beam axis must be unit-norm, |axis| = {n}")
         object.__setattr__(self, "axis", _freeze(axis / n))
 
 
@@ -60,14 +61,14 @@ class LinkStiffness:
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
         if K.shape != (12, 12):
-            raise ValueError(f"link stiffness must be 12x12, got {K.shape}")
+            raise ModelError(f"link stiffness must be 12x12, got {K.shape}")
         if not np.all(np.isfinite(K)):
-            raise ValueError("link stiffness has non-finite entries")
+            raise ModelError("link stiffness has non-finite entries")
         object.__setattr__(self, "K", _freeze(K))
         if self.nodes is not None:
             i, j = self.nodes
             if i == j:
-                raise ValueError("link end nodes must differ")
+                raise ModelError("link end nodes must differ")
             object.__setattr__(self, "nodes", (i, j))
 
     @classmethod
@@ -76,10 +77,10 @@ class LinkStiffness:
         K = cls(K).K                     # checks the shape and finiteness
         scale = max(np.max(np.abs(K)), 1.0)
         if np.max(np.abs(K - K.T)) > sym_tol * scale:
-            raise ValueError("link stiffness asymmetry exceeds the accepted tolerance")
+            raise ModelError("link stiffness asymmetry exceeds the accepted tolerance")
         K = 0.5 * (K + K.T)
         if np.min(np.linalg.eigvalsh(K)) < -1e-7 * scale:
-            raise ValueError("link stiffness must be positive semidefinite")
+            raise ModelError("link stiffness must be positive semidefinite")
         return cls(K, nodes)
 
     def with_nodes(self, i: Hashable, j: Hashable) -> "LinkStiffness":

@@ -14,6 +14,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from .errors import ModelError
+
 # Variable reference: ("W", node) for a wrench, ("t", node) for a deflection.
 Var = tuple
 
@@ -55,11 +57,11 @@ class EquationBlock:
 
     def __post_init__(self):
         if self.rows <= 0:
-            raise ValueError("equation block must have at least one row")
+            raise ModelError("equation block must have at least one row")
         if self.category not in ("link", "constraint", "load"):
-            raise ValueError(f"unknown block category {self.category!r}")
+            raise ModelError(f"unknown block category {self.category!r}")
         if (self.category == "load") != (self.load_node is not None):
-            raise ValueError("load blocks (and only load blocks) carry a load node")
+            raise ModelError("load blocks (and only load blocks) carry a load node")
         starts, variables, subs = zip(*self.entries) if self.entries else ((), (), ())
         subs = [s if s.ndim == 2 else s.reshape(1, -1)
                 for s in (np.asarray(s, dtype=float) for s in subs)]
@@ -70,17 +72,17 @@ class EquationBlock:
                 self.rows, starts, tuple(s.shape for s in subs),
                 tuple(map(slot.__getitem__, variables)),
                 tuple(kind for kind, _ in self.variables))
-        except ValueError as exc:
-            raise ValueError(f"{self.source}: {exc}") from None
+        except ModelError as exc:
+            raise ModelError(f"{self.source}: {exc}") from None
         values = np.concatenate(subs).ravel()
         if not np.isfinite(values).all():
-            raise ValueError(f"{self.source}: non-finite coefficients")
+            raise ModelError(f"{self.source}: non-finite coefficients")
         self.coo_values = values
         self.entries = list(zip(map(int, starts), variables, subs))
         self.rhs = (np.zeros(self.rows) if self.rhs is None
                     else np.asarray(self.rhs, dtype=float).reshape(-1))
         if self.rhs.shape != (self.rows,):
-            raise ValueError(f"{self.source}: rhs length {self.rhs.shape[0]} != rows {self.rows}")
+            raise ModelError(f"{self.source}: rhs length {self.rhs.shape[0]} != rows {self.rows}")
 
     def row_kinds(self) -> list:
         """Per-row classification: link, load, compat, wrench or mixed."""
@@ -98,7 +100,7 @@ class EquationBlock:
         index = {var: 6 * i for i, var in enumerate(variables)}
         for var in self.variables:
             if var not in index:
-                raise ValueError(f"variable {var} not in the requested ordering")
+                raise ModelError(f"variable {var} not in the requested ordering")
         base = np.array([index[var] for var in self.variables], dtype=np.intp)
         M = np.zeros((self.rows, 6 * len(variables)))
         np.add.at(M, (self.coo_rows, base[self.coo_cols // 6] + self.coo_cols % 6),
@@ -118,16 +120,16 @@ def _pattern(rows: int, starts: tuple, shapes: tuple, slots: tuple, kinds: tuple
     """
     shapes = np.array(shapes, dtype=np.intp).reshape(-1, 2)
     if np.any(shapes[:, 1] != 6):
-        raise ValueError("coefficient blocks must be 6 columns wide")
+        raise ModelError("coefficient blocks must be 6 columns wide")
     starts = np.array(starts, dtype=np.intp)
     ends = starts + shapes[:, 0]
     outside = (starts < 0) | (ends > rows)
     if outside.any():
         k = int(np.argmax(outside))
-        raise ValueError(f"entry rows [{starts[k]}, {ends[k]}) outside block of {rows} rows")
+        raise ModelError(f"entry rows [{starts[k]}, {ends[k]}) outside block of {rows} rows")
     unknown = set(kinds) - {"W", "t"}
     if unknown:
-        raise ValueError(f"unknown variable kind {unknown.pop()!r}")
+        raise ModelError(f"unknown variable kind {unknown.pop()!r}")
     sizes = 6 * shapes[:, 0]
     entry = np.repeat(np.arange(len(sizes)), sizes)
     offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -137,7 +139,7 @@ def _pattern(rows: int, starts: tuple, shapes: tuple, slots: tuple, kinds: tuple
     has_t = np.bincount(coo_rows[deflection], minlength=rows) > 0
     has_w = np.bincount(coo_rows[~deflection], minlength=rows) > 0
     if not (has_t | has_w).all():
-        raise ValueError("rows without any coefficient entry")
+        raise ModelError("rows without any coefficient entry")
     row_kinds = np.where(has_t & has_w, "mixed", np.where(has_t, "compat", "wrench"))
     coo_rows.flags.writeable = coo_cols.flags.writeable = False
     return coo_rows, coo_cols, tuple(row_kinds.tolist())

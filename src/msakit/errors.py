@@ -1,9 +1,9 @@
 """Exception types shared across the package."""
 
 
-class ModelError(Exception):
-    """Semantic problem with a model: bad references, ill-posed structure,
-    unresolvable stiffness queries."""
+class ModelError(ValueError):
+    """Semantic problem with a model: bad input to a builder, bad references,
+    ill-posed structure, unresolvable stiffness queries."""
 
 
 class FormatError(ModelError):

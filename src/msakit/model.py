@@ -128,11 +128,11 @@ class Model:
         clamps = tuple(clamps)
         self._require_nodes(list(clamps) + [end])
         if not clamps:
-            raise ValueError("rigid platform needs at least one clamp node")
+            raise ModelError("rigid platform needs at least one clamp node")
         if len(set(clamps)) != len(clamps):
             raise ModelError("duplicate clamp node ids on rigid platform")
         if end in clamps:
-            raise ValueError("platform end node cannot also be a clamp")
+            raise ModelError("platform end node cannot also be a clamp")
         self.platforms.append(PlatformSpec(kind="rigid", clamps=clamps, end=end))
 
     def add_flexible_platform(self, clamp_stiffness: Mapping, end: Hashable) -> None:
@@ -140,7 +140,7 @@ class Model:
         clamps = tuple(clamp_stiffness.keys())
         self._require_nodes(list(clamps) + [end])
         if not clamps:
-            raise ValueError("flexible platform needs at least one virtual link")
+            raise ModelError("flexible platform needs at least one virtual link")
         links = tuple(
             K if isinstance(K, LinkStiffness) and K.nodes == (c, end)
             else LinkStiffness.from_matrix(K.K if isinstance(K, LinkStiffness) else K, (c, end))
@@ -176,13 +176,13 @@ class Model:
         all_nodes = list(rigid_nodes) + [n for n, _ in passive]
         self._require_nodes(all_nodes)
         if not rigid_nodes:
-            raise ValueError("junction needs at least one carrier node")
+            raise ModelError("junction needs at least one carrier node")
         if len(set(all_nodes)) != len(all_nodes):
             raise ModelError("duplicate node ids in junction")
         if len(all_nodes) < 2:
-            raise ValueError("junction must connect at least two nodes")
+            raise ModelError("junction must connect at least two nodes")
         if any(basis.p < 1 for _, basis in passive):
-            raise ValueError("junction attachments must be passive (p >= 1); "
+            raise ModelError("junction attachments must be passive (p >= 1); "
                              "weld extra nodes into the carrier group instead")
         self._require_coincident(all_nodes, "junction")
         spec = JunctionSpec(rigid_nodes=tuple(rigid_nodes), passive_nodes=passive)
@@ -206,10 +206,10 @@ class Model:
         stiffness = self._stiffness(stiffness, preload)
         if kind == "passive":
             if basis.p < 1:
-                raise ValueError("passive support needs at least one free direction "
+                raise ModelError("passive support needs at least one free direction "
                                  "(use a rigid support)")
             if basis.r < 1:
-                raise ValueError("a support with no rigid direction constrains nothing; "
+                raise ModelError("a support with no rigid direction constrains nothing; "
                                  "model a free end with a load node instead")
         if kind == "elastic":
             if stiffness is None:
@@ -226,9 +226,9 @@ class Model:
         nodes = tuple(incident_nodes) if incident_nodes is not None else (end_node,)
         self._require_nodes(list(nodes) + [end_node])
         if not nodes:
-            raise ValueError("a load point needs at least one incident node")
+            raise ModelError("a load point needs at least one incident node")
         if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node ids at load point")
+            raise ModelError("duplicate node ids at load point")
         if end_node in self.supports:
             raise ModelError(f"node {end_node!r} is supported and cannot carry a load point")
         if end_node in self.load_points:

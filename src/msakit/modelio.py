@@ -15,7 +15,7 @@ import numpy as np
 from .boundary import SUPPORT_KINDS
 from .core import JOINT_BASIS_PRESETS, JointStiffness, joint_basis_preset, make_joint_basis
 from .elements import LinkStiffness
-from .errors import FormatError, ModelError
+from .errors import FormatError
 from .joints import ACTUATION_IDEALIZATIONS, JOINT_KINDS
 from .model import Model
 
@@ -88,7 +88,7 @@ class ModelDocument:
                     m.add_load_point(entry["node"])
             path = "$.end_effector"
             m.set_end_effector(self.end_effector)
-        except (ModelError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(path, str(exc)) from exc
         return m
 

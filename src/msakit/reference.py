@@ -28,7 +28,7 @@ def tube_properties(outer_diameter: float, wall: float) -> tuple:
     ro = outer_diameter / 2.0
     ri = ro - wall
     if not (0.0 < ri < ro):
-        raise ValueError("tube wall must be positive and thinner than the radius")
+        raise ModelError("tube wall must be positive and thinner than the radius")
     A = math.pi * (ro**2 - ri**2)
     I = math.pi / 4.0 * (ro**4 - ri**4)
     return A, I, 2.0 * I
@@ -59,7 +59,7 @@ class NavaroParams:
                      "platform_radius", "E", "G", "tube_outer", "tube_wall",
                      "motor_stiffness"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"NaVaRo parameter {name} must be positive")
+                raise ModelError(f"NaVaRo parameter {name} must be positive")
 
     def section_kwargs(self) -> dict:
         A, I, J = tube_properties(self.tube_outer, self.tube_wall)

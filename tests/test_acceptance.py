@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import msakit
+from msakit.assembly import _connection_block
 from msakit.core import block_rotation
 from msakit.elements import rigid_link_equations, rigid_platform_equations
-from msakit.joints import elastic_joint_equations
 
 from helpers import cantilever, random_chain, rel_fro, section_kwargs
 
@@ -150,8 +150,9 @@ def test_criterion_5_joint_limit_consistency():
 def test_criterion_6_preload_behavior():
     with criterion(6, "zero preload is bitwise neutral; locked preload stays internal"):
         # Preloaded rows with zero preload equal the unpreloaded rows exactly.
-        plain = elastic_joint_equations(RZ, [[75.0]], ("i", "j"))
-        zeroed = elastic_joint_equations(RZ, [[75.0]], ("i", "j"), preload=np.zeros(6))
+        plain, zeroed = (_connection_block(msakit.JointSpec(
+            kind="elastic", nodes=("i", "j"), basis=RZ,
+            stiffness=msakit.JointStiffness([[75.0]], preload))) for preload in (None, np.zeros(6)))
         np.testing.assert_array_equal(plain.rhs, zeroed.rhs)
         for (r1, v1, b1), (r2, v2, b2) in zip(plain.entries, zeroed.entries):
             assert r1 == r2 and v1 == v2

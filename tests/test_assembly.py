@@ -224,8 +224,14 @@ def test_invalid_input_raises_at_its_add_call(name):
     m = msakit.Model()
     for node, x in (("a", 0.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("e", 2.0)):
         m.add_node(node, [x, 0, 0])
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(msakit.ModelError, match=re.escape(message)):
         add(m)
+
+
+def test_builder_errors_are_model_errors():
+    with pytest.raises(msakit.ModelError, match="position of 'a' has non-finite entries"):
+        msakit.Model().add_node("a", [0.0, np.nan, 0.0])
+    assert issubclass(msakit.ModelError, ValueError)
 
 
 class TestPartition:

@@ -3,31 +3,45 @@ import numpy as np
 import pytest
 
 import msakit
-from msakit.boundary import (elastic_support_equations, external_load_equations,
-                             passive_support_equations, rigid_support_equations)
+from msakit.assembly import _support_block
+from msakit.boundary import external_load_equations
 from msakit.equations import deflection_var, wrench_var
+from msakit.model import SupportSpec
 
-from helpers import block_residual, cantilever, section_kwargs
+from helpers import block_residual, cantilever, flexible_platform_model, section_kwargs
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
 
+def rigid_support(node):
+    return _support_block(SupportSpec(node=node, kind="rigid"))
+
+
+def passive_support(node, basis):
+    return _support_block(SupportSpec(node=node, kind="passive", basis=basis))
+
+
+def elastic_support(node, basis, stiffness, preload=None):
+    return _support_block(SupportSpec(node=node, kind="elastic", basis=basis,
+                                      stiffness=msakit.JointStiffness(stiffness, preload)))
+
+
 class TestSupportRows:
     def test_rigid_support_pins_all_six(self):
-        block = rigid_support_equations("j")
+        block = rigid_support("j")
         assert block.rows == 6
         M, variables = block.dense()
         assert variables == [deflection_var("j")]
         np.testing.assert_array_equal(M, np.eye(6))
 
     def test_passive_support_counts(self):
-        block = passive_support_equations("j", RZ)
+        block = passive_support("j", RZ)
         assert block.rows == 6
         kinds = block.row_kinds()
         assert kinds.count("compat") == 5 and kinds.count("wrench") == 1
 
     def test_passive_support_allows_free_rotation_without_moment(self):
-        block = passive_support_equations("j", RZ)
+        block = passive_support("j", RZ)
         values = {deflection_var("j"): np.array([0, 0, 0, 0, 0, 0.25]),
                   wrench_var("j"): np.array([3.0, -1.0, 2.0, 0.5, -0.5, 0.0])}
         np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)
@@ -41,7 +55,7 @@ class TestSupportRows:
 
     def test_elastic_support_counts_and_hooke_sign(self):
         k = 400.0
-        block = elastic_support_equations("j", RZ, [[k]])
+        block = elastic_support("j", RZ, [[k]])
         assert block.rows == 6
         theta = 0.01
         # Restoring spring: ground pushes back with -k*theta about z.
@@ -51,7 +65,7 @@ class TestSupportRows:
 
     def test_elastic_support_preload_at_rest(self):
         w0 = np.array([0, 0, 0, 0, 0, 6.0])
-        block = elastic_support_equations("j", RZ, [[400.0]], preload=w0)
+        block = elastic_support("j", RZ, [[400.0]], preload=w0)
         values = {deflection_var("j"): np.zeros(6), wrench_var("j"): w0}
         np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)
 
@@ -129,6 +143,11 @@ class TestEquilibrium:
         state = model.solve(w)
         assert msakit.equilibrium_residual(state) <= 1e-9 * np.linalg.norm(w)
 
+    def test_flexible_platform_reactions_balance_the_load(self):
+        w = np.array([3.0, -2.0, 5.0, 0.4, -0.7, 0.2])
+        state = flexible_platform_model().solve(w)
+        assert msakit.equilibrium_residual(state) <= 1e-9 * np.linalg.norm(w)
+
     def test_lever_on_elastic_support(self):
         k, L, F = 500.0, 0.7, 12.0
         m = msakit.Model()
@@ -156,6 +175,20 @@ class TestModelSupportRules:
         model, _ = cantilever()
         with pytest.raises(msakit.ModelError):
             model.add_support("b", "rigid")
+
+    def test_support_off_the_links_rejected(self):
+        # A beam welded to a grounded node that no link touches: the node's
+        # wrench is the weld's effort, so it cannot report the reaction.
+        m = msakit.Model()
+        for node, x in (("g", 0.0), ("a", 0.0), ("b", 1.0)):
+            m.add_node(node, [x, 0, 0])
+        m.add_beam("a", "b", **section_kwargs())
+        m.add_joint("rigid", ("a", "g"))
+        m.add_support("g", "rigid")
+        m.set_end_effector("b")
+        with pytest.raises(msakit.ModelError, match=r"no link or platform touches: \['g'\]"):
+            m.assemble()
+        assert m.check().square
 
     def test_pinned_beam_without_other_constraints_is_a_mechanism(self):
         m = msakit.Model()
