@@ -23,7 +23,7 @@ from . import joints as _joints
 from .core import Wrench, _as_vector
 from .equations import EquationBlock
 from .errors import ModelError
-from .model import JunctionSpec, Model, PlatformSpec
+from .model import Model, PlatformSpec, SupportSpec
 
 # LU pivot ratio below which a block counts as singular and is bordered; also
 # the null-space cutoff of the border block (rows are equilibrated to 1).
@@ -70,27 +70,15 @@ def _platform_block(model: Model, platform: PlatformSpec) -> EquationBlock:
     return _elements.flexible_platform_equations(platform.stiffnesses, platform.end)
 
 
-def _connection_block(spec) -> EquationBlock:
-    """A junction, or a joint mapped onto the connection template: a rigid or
-    as-rigid joint is a carrier alone; any other joint (i, j) attaches i to
-    the carrier (j,), with no spring for a passive joint."""
-    if isinstance(spec, JunctionSpec):
-        attachments = [(node, basis, None) for node, basis in spec.passive_nodes]
-        source = f"junction<{','.join(map(str, spec.nodes))}>"
-        return _joints.connection_equations(spec.rigid_nodes, attachments, source)
-    source = f"joint<{','.join(map(str, spec.nodes))}>"
-    if spec.kind == "rigid" or (spec.kind == "actuated" and spec.idealization == "as-rigid"):
-        return _joints.connection_equations(spec.nodes, (), source)
-    i, j = spec.nodes
-    stiffness = None if spec.kind == "passive" else spec.stiffness
-    return _joints.connection_equations((j,), [(i, spec.basis, stiffness)], source)
+def _connection_block(spec: _joints.JointSpec) -> EquationBlock:
+    label = "junction" if spec.kind == "junction" else "joint"
+    source = f"{label}<{','.join(map(str, spec.nodes))}>"
+    return _joints.connection_equations(spec.carrier, spec.attachments, source)
 
 
-def _support_block(support) -> EquationBlock:
-    if support.kind == "rigid":
-        return _boundary.support_equations(support.node, _boundary.CLAMP, None)
-    stiffness = support.stiffness if support.kind == "elastic" else None
-    return _boundary.support_equations(support.node, support.basis, stiffness)
+def _support_block(support: SupportSpec) -> EquationBlock:
+    return _boundary.support_equations(support.node, support.basis or _boundary.CLAMP,
+                                       support.stiffness)
 
 
 @dataclass(eq=False)
@@ -611,7 +599,7 @@ def cartesian_stiffness(system: GlobalSystem,
         # rigid constraints: those directions are locked.
         lock_scale = max(float(np.max(np.abs(fac._scale_rhs(analysis.parts.B)))), 1e-300)
         _, s, vt = np.linalg.svd(analysis.LtB, full_matrices=False)
-        locked = vt[s > 1e-8 * lock_scale]
+        locked = _signed(vt[s > 1e-8 * lock_scale])
         if locked.shape[0] > 0:
             diag.locked, diag.locked_directions = True, locked
         if locked.shape[0] == 6:
@@ -633,8 +621,15 @@ def cartesian_stiffness(system: GlobalSystem,
     diag.kc_rank = rank
     diag.mechanisms = 6 - rank
     if rank < 6:
-        diag.mechanism_directions = vt[rank:]
+        diag.mechanism_directions = _signed(vt[rank:])
     return CartesianStiffness(kc=kc, diagnostics=diag)
+
+
+def _signed(rows: np.ndarray) -> np.ndarray:
+    """Unit rows from an SVD, each flipped so that its largest-magnitude
+    component is positive: the same direction then reads the same."""
+    peak = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+    return rows * np.copysign(1.0, peak)[:, None]
 
 
 @dataclass(eq=False)

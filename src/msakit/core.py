@@ -131,37 +131,15 @@ class Wrench:
         return shift_wrench(self.array, _as_vector(position, 3, "position"))
 
 
-def _transport6(d) -> np.ndarray:
-    """Plain 6x6 rigid transport operator [I, skew(d)^T; 0, I]."""
+def transport_matrix(d) -> np.ndarray:
+    """6x6 rigid transport operator [I, skew(d)^T; 0, I] for the offset d
+    (first point to second). Applied to a deflection at the first point it
+    yields the deflection the second point inherits; its transpose
+    propagates wrenches the other way."""
     d = _as_vector(d, 3, "d")
     T = np.eye(6)
     T[:3, 3:] = skew(d).T
     return T
-
-
-@dataclass(frozen=True, eq=False)
-class TransportMatrix:
-    """Rigid-body transport operator between two points separated by d.
-
-    Applied to a deflection at the first point it yields the deflection the
-    second point inherits; its transpose propagates wrenches the other way.
-    """
-
-    d: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", _freeze(_as_vector(self.d, 3, "d")))
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, dtype=float)))
-
-    def inverse(self) -> "TransportMatrix":
-        return transport_matrix(-self.d)
-
-
-def transport_matrix(d) -> TransportMatrix:
-    """Transport operator for the offset vector d (first node to second node)."""
-    d = _as_vector(d, 3, "d")
-    return TransportMatrix(d=d, matrix=_transport6(d))
 
 
 def rotate_link_stiffness(K, R) -> np.ndarray:
@@ -195,15 +173,15 @@ class JointBasis:
     (p = 6 - r vectors) spans the free or elastic directions.
     """
 
-    u_rigid: np.ndarray  # (r, 6)
-    u_free: np.ndarray   # (p, 6)
+    lambda_rigid: np.ndarray  # (r, 6), rows are the rigid directions
+    lambda_free: np.ndarray   # (p, 6), rows are the free or elastic directions
 
     def __post_init__(self):
-        ur = np.asarray(self.u_rigid, dtype=float).reshape(-1, 6) if np.size(self.u_rigid) else np.zeros((0, 6))
-        uf = np.asarray(self.u_free, dtype=float).reshape(-1, 6) if np.size(self.u_free) else np.zeros((0, 6))
-        object.__setattr__(self, "u_rigid", _freeze(ur))
-        object.__setattr__(self, "u_free", _freeze(uf))
-        stacked = np.vstack([self.u_rigid, self.u_free])
+        for name in ("lambda_rigid", "lambda_free"):
+            rows = getattr(self, name)
+            rows = np.asarray(rows, dtype=float).reshape(-1, 6) if np.size(rows) else np.zeros((0, 6))
+            object.__setattr__(self, name, _freeze(rows))
+        stacked = np.vstack([self.lambda_rigid, self.lambda_free])
         if stacked.shape[0] != 6:
             raise ModelError(f"joint basis needs exactly 6 vectors, got {stacked.shape[0]}")
         if not np.isfinite(stacked).all():
@@ -214,28 +192,18 @@ class JointBasis:
 
     @property
     def r(self) -> int:
-        return self.u_rigid.shape[0]
+        return self.lambda_rigid.shape[0]
 
     @property
     def p(self) -> int:
-        return self.u_free.shape[0]
-
-    @property
-    def lambda_rigid(self) -> np.ndarray:
-        """(r x 6) matrix whose rows are the rigid directions."""
-        return self.u_rigid
-
-    @property
-    def lambda_free(self) -> np.ndarray:
-        """(p x 6) matrix whose rows are the free/elastic directions."""
-        return self.u_free
+        return self.lambda_free.shape[0]
 
     def rotated(self, R) -> "JointBasis":
         """Basis expressed after rotating the global frame by R."""
         if not is_rotation(R):
             raise ModelError("R must be a proper rotation matrix")
         Q = block_rotation(R, 2)
-        return JointBasis(self.u_rigid @ Q.T, self.u_free @ Q.T)
+        return JointBasis(self.lambda_rigid @ Q.T, self.lambda_free @ Q.T)
 
 
 def make_joint_basis(u_rigid, u_free) -> JointBasis:
@@ -251,33 +219,22 @@ def make_joint_basis(u_rigid, u_free) -> JointBasis:
     return JointBasis(ur_m, uf_m)
 
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+# Free axes of each named lower-pair basis; the other axes are rigid.
+_PRESET_FREE_AXES = {
+    "revolute_x": [3], "revolute_y": [4], "revolute_z": [5],
+    "prismatic_x": [0], "prismatic_y": [1], "prismatic_z": [2],
+    "spherical": [3, 4, 5], "universal": [3, 4], "free": [0, 1, 2, 3, 4, 5],
+}
+JOINT_BASIS_PRESETS = tuple(_PRESET_FREE_AXES)
 
 
 def joint_basis_preset(name: str) -> JointBasis:
     """Named lower-pair bases: revolute_*, prismatic_*, spherical, universal, free."""
-    eye = np.eye(6)
-    if name.startswith("revolute_") and name[-1] in _AXIS_INDEX:
-        free = [3 + _AXIS_INDEX[name[-1]]]
-    elif name.startswith("prismatic_") and name[-1] in _AXIS_INDEX:
-        free = [_AXIS_INDEX[name[-1]]]
-    elif name == "spherical":
-        free = [3, 4, 5]
-    elif name == "universal":
-        free = [3, 4]
-    elif name == "free":
-        free = [0, 1, 2, 3, 4, 5]
-    else:
+    if name not in _PRESET_FREE_AXES:
         raise ModelError(f"unknown joint basis preset {name!r}")
-    rigid = [i for i in range(6) if i not in free]
-    return JointBasis(eye[rigid], eye[free])
-
-
-JOINT_BASIS_PRESETS = (
-    "revolute_x", "revolute_y", "revolute_z",
-    "prismatic_x", "prismatic_y", "prismatic_z",
-    "spherical", "universal", "free",
-)
+    free = _PRESET_FREE_AXES[name]
+    eye = np.eye(6)
+    return JointBasis(eye[[i for i in range(6) if i not in free]], eye[free])
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import _as_vector, _freeze, _rotate_blocks, _transport6
+from .core import _as_vector, _freeze, _rotate_blocks, transport_matrix
 from .equations import EYE6, NEG_EYE6, EquationBlock, deflection_var, wrench_var
 from .errors import ModelError
 
@@ -187,7 +187,7 @@ def rigid_link_equations(d, nodes) -> EquationBlock:
     where D is the transport operator for the offset d from node i to node j.
     """
     i, j = nodes
-    D = _transport6(d)
+    D = transport_matrix(d)
     return EquationBlock(
         source=f"rigid_link({i},{j})",
         rows=12,
@@ -212,13 +212,13 @@ def rigid_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
     n = len(clamps)
     entries = []
     for k, (node, d) in enumerate(clamps):
-        D = _transport6(d)
+        D = transport_matrix(d)
         entries.append((6 * k, deflection_var(node), D))
         entries.append((6 * k, deflection_var(end), NEG_EYE6))
     row_w = 6 * n
     for node, d in clamps:
         # Equilibrium about the end point: transport uses the end-to-clamp offset.
-        D_back = _transport6(-np.asarray(d, dtype=float))
+        D_back = transport_matrix(-np.asarray(d, dtype=float))
         entries.append((row_w, wrench_var(node), D_back.T))
     entries.append((row_w, wrench_var(end), EYE6))
     return EquationBlock(

@@ -9,8 +9,11 @@ the carrier (j,). An n-node connection contributes 6n rows. Wrenches are the
 efforts the connection applies to each link end, so the wrench rows sum them
 to zero and the spring rows use the restoring sign.
 
-`JointSpec` and `Model.add_junction` check each connection once, when the
-model records it; the emitter trusts its input and raises nothing.
+Every connection is one `JointSpec` record in these terms: its carrier and
+its attachments. `joint_spec` is the one place that checks a joint and maps
+its kind onto the template, and it rejects a field the kind ignores;
+`Model.add_junction` checks and records a junction. The emitter trusts its
+input and raises nothing.
 """
 from __future__ import annotations
 
@@ -30,40 +33,58 @@ ACTUATION_IDEALIZATIONS = ("as-rigid", "as-elastic")
 
 @dataclass(frozen=True, eq=False)
 class JointSpec:
-    """Declarative description of an inter-link connection."""
+    """One connection in the template's terms: a joint kind or "junction",
+    the nodes in the caller's order, the carrier group of welded nodes, the
+    attachments (node, basis, JointStiffness or None for a pin) tied to the
+    carrier's first node, and an actuated joint's idealization."""
 
     kind: str
     nodes: tuple
-    basis: JointBasis | None = None
-    stiffness: JointStiffness | None = None
+    carrier: tuple
+    attachments: tuple = ()
     idealization: str | None = None
 
-    def __post_init__(self):
-        if self.kind not in JOINT_KINDS:
-            raise ModelError(f"unknown joint kind {self.kind!r}")
-        nodes = tuple(self.nodes)
-        if len(nodes) < 2:
-            raise ModelError("a joint connects at least two nodes")
-        if len(set(nodes)) != len(nodes):
-            raise ModelError("duplicate node ids in joint")
-        object.__setattr__(self, "nodes", nodes)
-        if self.kind == "rigid":
-            return
-        if len(nodes) != 2:
-            raise ModelError(f"{self.kind} joints connect exactly two nodes; "
-                             "chain pairwise joints for larger groups")
-        if self.kind == "actuated":
-            if self.idealization not in ACTUATION_IDEALIZATIONS:
-                raise ModelError("actuated joint needs an idealization: 'as-rigid' or 'as-elastic'")
-            if self.idealization == "as-elastic":
-                _check_spring(self.basis, self.stiffness, "connection")
-            return
-        if self.basis is None:
-            raise ModelError(f"{self.kind} joint needs a direction basis")
-        if self.kind == "passive" and self.basis.p < 1:
+
+def joint_spec(kind: str, nodes: Sequence[Hashable], basis: JointBasis | None = None,
+               stiffness: JointStiffness | None = None,
+               idealization: str | None = None) -> JointSpec:
+    """Check a joint and map it onto the template: a rigid or as-rigid joint
+    is a carrier alone; any other joint (i, j) attaches i to the carrier
+    (j,), with no spring for a passive joint. A field the kind ignores is an
+    error."""
+    if kind not in JOINT_KINDS:
+        raise ModelError(f"unknown joint kind {kind!r}")
+    nodes = tuple(nodes)
+    if len(nodes) < 2:
+        raise ModelError("a joint connects at least two nodes")
+    if len(set(nodes)) != len(nodes):
+        raise ModelError("duplicate node ids in joint")
+    if kind != "rigid" and len(nodes) != 2:
+        raise ModelError(f"{kind} joints connect exactly two nodes; "
+                         "chain pairwise joints for larger groups")
+    acts_as = kind
+    if kind == "actuated":
+        if idealization not in ACTUATION_IDEALIZATIONS:
+            raise ModelError("actuated joint needs an idealization: 'as-rigid' or 'as-elastic'")
+        acts_as = idealization.removeprefix("as-")
+    elif idealization is not None:
+        raise ModelError(f"a {kind} joint takes no idealization; only an actuated joint has one")
+    if acts_as == "rigid":
+        if basis is not None or stiffness is not None:
+            raise ModelError("a rigid or as-rigid joint takes no basis or stiffness")
+        return JointSpec(kind, nodes, carrier=nodes, idealization=idealization)
+    if acts_as == "passive":
+        if basis is None:
+            raise ModelError("passive joint needs a direction basis")
+        if basis.p < 1:
             raise ModelError("passive joint needs at least one free direction (use a rigid joint)")
-        if self.kind == "elastic":
-            _check_spring(self.basis, self.stiffness, "connection")
+        if stiffness is not None:
+            raise ModelError("a passive joint takes no stiffness; use an elastic joint")
+    else:
+        _check_spring(basis, stiffness, "connection")
+    i, j = nodes
+    return JointSpec(kind, nodes, carrier=(j,), attachments=((i, basis, stiffness),),
+                     idealization=idealization)
 
 
 def _check_spring(basis: JointBasis | None, stiffness: JointStiffness | None, what: str) -> None:

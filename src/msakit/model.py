@@ -3,8 +3,10 @@
 A Model is a mutable builder; assembly, stiffness extraction and solving live
 in the assembly module and treat the model as read-only. Every invariant of
 an element, connection, support or load point is checked once, by the
-`add_*` call that records it (for joints, by `JointSpec`); the emitters
-trust the model.
+`add_*` call that records it (for joints, by `joints.joint_spec`), and a
+field that a joint's or support's kind would ignore is an error there; the
+emitters trust the model. Joints and junctions alike are recorded as one
+`JointSpec` each, in the terms of the connection template.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .boundary import SUPPORT_KINDS
 from .core import JointBasis, JointStiffness, _as_vector, _joint_stiffness
 from .elements import BeamSection, LinkStiffness, beam_stiffness
 from .errors import ModelError
-from .joints import JointSpec, _check_spring
+from .joints import JointSpec, _check_spring, joint_spec
 
 # Absolute slack, scaled by model extent, for "these joint nodes coincide".
 COINCIDENT_TOL = 1e-9
@@ -39,16 +41,6 @@ class PlatformSpec:
     stiffnesses: tuple | None = None  # per-clamp LinkStiffness for flexible platforms
 
 
-@dataclass(frozen=True, eq=False)
-class JunctionSpec:
-    rigid_nodes: tuple
-    passive_nodes: tuple           # of (node, JointBasis)
-
-    @property
-    def nodes(self) -> tuple:
-        return self.rigid_nodes + tuple(n for n, _ in self.passive_nodes)
-
-
 class Model:
     """Stiffness model under construction.
 
@@ -62,7 +54,7 @@ class Model:
         self.flexible_links: list[LinkStiffness] = []
         self.rigid_links: list[tuple] = []
         self.platforms: list[PlatformSpec] = []
-        self.connections: list = []          # JointSpec | JunctionSpec, in insertion order
+        self.connections: list = []          # JointSpec, in insertion order
         self.supports: dict = {}             # node -> SupportSpec
         self.load_points: dict = {}          # end node -> tuple of incident nodes
         self.end_effector: Hashable | None = None
@@ -162,30 +154,29 @@ class Model:
     def add_joint(self, kind: str, nodes: Sequence[Hashable], basis: JointBasis | None = None,
                   stiffness=None, preload=None, idealization: str | None = None) -> JointSpec:
         self._require_nodes(nodes)
-        stiffness = self._stiffness(stiffness, preload)
-        spec = JointSpec(kind=kind, nodes=tuple(nodes), basis=basis,
-                         stiffness=stiffness, idealization=idealization)
+        spec = joint_spec(kind, nodes, basis, self._stiffness(stiffness, preload), idealization)
         self._require_coincident(spec.nodes, f"joint {spec.nodes}")
         self.connections.append(spec)
         return spec
 
     def add_junction(self, rigid_nodes: Sequence[Hashable],
-                     passive_nodes: Sequence = ()) -> JunctionSpec:
+                     passive_nodes: Sequence = ()) -> JointSpec:
         """Compound connection: welded carrier nodes plus pinned attachments."""
-        passive = tuple((n, b) for n, b in passive_nodes)
-        all_nodes = list(rigid_nodes) + [n for n, _ in passive]
-        self._require_nodes(all_nodes)
-        if not rigid_nodes:
+        carrier = tuple(rigid_nodes)
+        attachments = tuple((n, b, None) for n, b in passive_nodes)
+        nodes = carrier + tuple(n for n, _, _ in attachments)
+        self._require_nodes(nodes)
+        if not carrier:
             raise ModelError("junction needs at least one carrier node")
-        if len(set(all_nodes)) != len(all_nodes):
+        if len(set(nodes)) != len(nodes):
             raise ModelError("duplicate node ids in junction")
-        if len(all_nodes) < 2:
+        if len(nodes) < 2:
             raise ModelError("junction must connect at least two nodes")
-        if any(basis.p < 1 for _, basis in passive):
+        if any(basis.p < 1 for _, basis, _ in attachments):
             raise ModelError("junction attachments must be passive (p >= 1); "
                              "weld extra nodes into the carrier group instead")
-        self._require_coincident(all_nodes, "junction")
-        spec = JunctionSpec(rigid_nodes=tuple(rigid_nodes), passive_nodes=passive)
+        self._require_coincident(nodes, "junction")
+        spec = JointSpec("junction", nodes, carrier, attachments)
         self.connections.append(spec)
         return spec
 
@@ -201,9 +192,13 @@ class Model:
             raise ModelError(f"node {node!r} is a load point and cannot also be supported")
         if kind not in SUPPORT_KINDS:
             raise ModelError(f"unknown support kind {kind!r}")
+        if kind == "rigid" and basis is not None:
+            raise ModelError("a rigid support takes no basis; it holds all six directions")
         if kind != "rigid" and basis is None:
             raise ModelError(f"{kind} support needs a direction basis")
         stiffness = self._stiffness(stiffness, preload)
+        if kind != "elastic" and stiffness is not None:
+            raise ModelError(f"a {kind} support takes no stiffness; use an elastic support")
         if kind == "passive":
             if basis.p < 1:
                 raise ModelError("passive support needs at least one free direction "
@@ -212,8 +207,6 @@ class Model:
                 raise ModelError("a support with no rigid direction constrains nothing; "
                                  "model a free end with a load node instead")
         if kind == "elastic":
-            if stiffness is None:
-                raise ModelError("elastic support needs a stiffness matrix")
             _check_spring(basis, stiffness, "support")
         self.supports[node] = SupportSpec(node=node, kind=kind, basis=basis, stiffness=stiffness)
 

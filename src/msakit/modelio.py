@@ -354,20 +354,23 @@ def document_from_model(model: Model) -> ModelDocument:
             entry["stiffness"] = [k.K.tolist() for k in platform.stiffnesses]
         doc.platforms.append(entry)
     for spec in model.connections:
-        if hasattr(spec, "rigid_nodes"):
+        if spec.kind == "junction":
             doc.joints.append({
                 "type": "junction",
-                "rigid_nodes": list(spec.rigid_nodes),
+                "rigid_nodes": list(spec.carrier),
                 "passive_nodes": [{"node": n, "basis": _basis_dict(b)}
-                                  for n, b in spec.passive_nodes],
+                                  for n, b, _ in spec.attachments],
             })
             continue
-        entry = _write_spring(spec, {"type": spec.kind, "nodes": list(spec.nodes)})
+        entry = {"type": spec.kind, "nodes": list(spec.nodes)}
+        for _, basis, stiffness in spec.attachments:
+            _write_spring(entry, basis, stiffness)
         if spec.idealization is not None:
             entry["idealization"] = spec.idealization
         doc.joints.append(entry)
     for support in model.supports.values():
-        doc.supports.append(_write_spring(support, {"node": support.node, "type": support.kind}))
+        doc.supports.append(_write_spring({"node": support.node, "type": support.kind},
+                                          support.basis, support.stiffness))
     if model.end_effector is None:
         raise FormatError("$.end_effector", "model has no end effector")
     for node in model.load_points:
@@ -377,17 +380,17 @@ def document_from_model(model: Model) -> ModelDocument:
     return doc
 
 
-def _write_spring(spec, entry: dict) -> dict:
-    """`entry` with the basis, spring matrix and preload of a joint or support
-    spec, where it has them; the inverse of `_read_spring`."""
-    if spec.basis is not None:
-        entry["basis"] = _basis_dict(spec.basis)
-    if spec.stiffness is not None:
-        entry["stiffness"] = spec.stiffness.matrix.tolist()
-        if spec.stiffness.preload is not None:
-            entry["preload"] = spec.stiffness.preload.tolist()
+def _write_spring(entry: dict, basis, stiffness) -> dict:
+    """`entry` with a joint's or support's basis, spring matrix and preload,
+    where it has them; the inverse of `_read_spring`."""
+    if basis is not None:
+        entry["basis"] = _basis_dict(basis)
+    if stiffness is not None:
+        entry["stiffness"] = stiffness.matrix.tolist()
+        if stiffness.preload is not None:
+            entry["preload"] = stiffness.preload.tolist()
     return entry
 
 
 def _basis_dict(basis) -> dict:
-    return {"rigid": basis.u_rigid.tolist(), "free": basis.u_free.tolist()}
+    return {"rigid": basis.lambda_rigid.tolist(), "free": basis.lambda_free.tolist()}

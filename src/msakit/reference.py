@@ -16,8 +16,8 @@ from typing import Hashable
 
 import numpy as np
 
-from .core import (JointStiffness, _rotate_blocks, _transport6, block_rotation,
-                   joint_basis_preset, rotation_matrix)
+from .core import (JointStiffness, _rotate_blocks, block_rotation, joint_basis_preset,
+                   rotation_matrix, transport_matrix)
 from .elements import LinkStiffness
 from .errors import ModelError
 from .model import Model, PlatformSpec
@@ -205,9 +205,8 @@ def oracle_merged_msa(model: Model, end: Hashable | None = None) -> np.ndarray:
         raise ModelError("no end node for the merged-assembly oracle")
     if model.rigid_links or model.platforms:
         raise ModelError("merged-assembly oracle handles flexible links only")
-    for spec in model.connections:
-        if getattr(spec, "kind", None) != "rigid":
-            raise ModelError("merged-assembly oracle handles rigid joints only")
+    if any(spec.attachments for spec in model.connections):
+        raise ModelError("merged-assembly oracle handles rigid joints only")
     for support in model.supports.values():
         if support.kind != "rigid":
             raise ModelError("merged-assembly oracle handles rigid supports only")
@@ -262,9 +261,8 @@ def oracle_serial_vjm(model: Model, end: Hashable | None = None) -> np.ndarray:
     support = next(iter(model.supports.values()))
     if support.kind != "rigid":
         raise ModelError("serial-chain oracle needs a rigid base support")
-    for spec in model.connections:
-        if getattr(spec, "kind", None) != "rigid" or len(spec.nodes) != 2:
-            raise ModelError("serial-chain oracle handles pairwise rigid joints only")
+    if any(spec.attachments or len(spec.nodes) != 2 for spec in model.connections):
+        raise ModelError("serial-chain oracle handles pairwise rigid joints only")
 
     next_of = {}
     for spec in model.connections:
@@ -298,7 +296,7 @@ def oracle_serial_vjm(model: Model, end: Hashable | None = None) -> np.ndarray:
     C = np.zeros((6, 6))
     for link in chain:
         tip = link.nodes[1]
-        T = _transport6(p_end - model.positions[tip])
+        T = transport_matrix(p_end - model.positions[tip])
         C += T @ np.linalg.inv(link.K22) @ T.T
     return np.linalg.inv(C)
 
@@ -329,22 +327,20 @@ def rotated_model(model: Model, R) -> Model:
             out.platforms.append(PlatformSpec(kind="flexible", clamps=platform.clamps,
                                               end=platform.end, stiffnesses=rotated))
     for spec in model.connections:
-        if hasattr(spec, "rigid_nodes"):
-            rotated_passive = tuple((n, b.rotated(R)) for n, b in spec.passive_nodes)
-            out.add_junction(spec.rigid_nodes, rotated_passive)
-        else:
-            out.connections.append(_rotated_spring(spec, R))
+        out.connections.append(replace(spec, attachments=tuple(
+            (node, basis.rotated(R), _rotated_preload(stiffness, R))
+            for node, basis, stiffness in spec.attachments)))
     for support in model.supports.values():
-        out.supports[support.node] = _rotated_spring(support, R)
+        basis = None if support.basis is None else support.basis.rotated(R)
+        out.supports[support.node] = replace(
+            support, basis=basis, stiffness=_rotated_preload(support.stiffness, R))
     out.load_points = dict(model.load_points)
     out.end_effector = model.end_effector
     return out
 
 
-def _rotated_spring(spec, R):
-    """A joint or support spec with its basis and preload rotated by R."""
-    basis = None if spec.basis is None else spec.basis.rotated(R)
-    stiff = spec.stiffness
-    if stiff is not None and stiff.preload is not None:
-        stiff = JointStiffness(stiff.matrix, block_rotation(R, 2) @ stiff.preload)
-    return replace(spec, basis=basis, stiffness=stiff)
+def _rotated_preload(stiffness: JointStiffness | None, R) -> JointStiffness | None:
+    """`stiffness` with its preload, if it has one, rotated by R."""
+    if stiffness is None or stiffness.preload is None:
+        return stiffness
+    return JointStiffness(stiffness.matrix, block_rotation(R, 2) @ stiffness.preload)

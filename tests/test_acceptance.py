@@ -11,6 +11,7 @@ import pytest
 
 import msakit
 from msakit.assembly import _connection_block
+from msakit.joints import joint_spec
 from msakit.core import block_rotation
 from msakit.elements import rigid_link_equations, rigid_platform_equations
 
@@ -150,7 +151,7 @@ def test_criterion_5_joint_limit_consistency():
 def test_criterion_6_preload_behavior():
     with criterion(6, "zero preload is bitwise neutral; locked preload stays internal"):
         # Preloaded rows with zero preload equal the unpreloaded rows exactly.
-        plain, zeroed = (_connection_block(msakit.JointSpec(
+        plain, zeroed = (_connection_block(joint_spec(
             kind="elastic", nodes=("i", "j"), basis=RZ,
             stiffness=msakit.JointStiffness([[75.0]], preload))) for preload in (None, np.zeros(6)))
         np.testing.assert_array_equal(plain.rhs, zeroed.rhs)

@@ -678,6 +678,17 @@ def test_bordered_solve_matches_dense_svd_oracle(name):
         assert rel_fro(result.kc, oracle["kc"]) <= 1e-8
 
 
+@pytest.mark.parametrize("name", [*SINGULAR_MODELS, "pinned beam"])
+def test_direction_rows_have_a_positive_largest_component(name):
+    model = pinned_beam() if name == "pinned beam" else SINGULAR_MODELS[name]()
+    if not model.check().square or model.end_effector is None:
+        return
+    diag = model.cartesian_stiffness().diagnostics
+    rows = [row for directions in (diag.mechanism_directions, diag.locked_directions)
+            if directions is not None for row in directions]
+    assert all(row[np.argmax(np.abs(row))] > 0.0 for row in rows)
+
+
 def pinned_beam():
     """A beam on a passive revolute support."""
     m = msakit.Model()

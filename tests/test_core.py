@@ -28,31 +28,29 @@ class TestSkew:
 
 class TestTransportMatrix:
     def test_zero_offset_is_identity(self):
-        np.testing.assert_array_equal(msakit.transport_matrix([0, 0, 0]).matrix, np.eye(6))
+        np.testing.assert_array_equal(msakit.transport_matrix([0, 0, 0]), np.eye(6))
 
     def test_composition_adds_offsets(self):
         rng = np.random.default_rng(1)
         d1, d2 = rng.normal(size=3), rng.normal(size=3)
-        lhs = msakit.transport_matrix(d1).matrix @ msakit.transport_matrix(d2).matrix
-        rhs = msakit.transport_matrix(d1 + d2).matrix
+        lhs = msakit.transport_matrix(d1) @ msakit.transport_matrix(d2)
+        rhs = msakit.transport_matrix(d1 + d2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     def test_inverse_is_negated_offset(self):
         d = np.array([0.3, -1.2, 2.5])
-        prod = msakit.transport_matrix(-d).matrix @ msakit.transport_matrix(d).matrix
+        prod = msakit.transport_matrix(-d) @ msakit.transport_matrix(d)
         np.testing.assert_allclose(prod, np.eye(6), atol=1e-14)
-        np.testing.assert_allclose(msakit.transport_matrix(d).inverse().matrix,
-                                   msakit.transport_matrix(-d).matrix)
 
     def test_unit_determinant_and_block_structure(self):
-        D = msakit.transport_matrix([0.4, 0.5, -0.6]).matrix
+        D = msakit.transport_matrix([0.4, 0.5, -0.6])
         assert np.isclose(np.linalg.det(D), 1.0)
         np.testing.assert_array_equal(D[3:, :3], np.zeros((3, 3)))
 
     def test_rigid_rotation_kinematics(self):
         # Offset (L,0,0) with base rotation theta about z moves the far point by theta*L in y.
         L, theta = 0.8, 0.01
-        D = msakit.transport_matrix([L, 0.0, 0.0]).matrix
+        D = msakit.transport_matrix([L, 0.0, 0.0])
         far = D @ np.array([0, 0, 0, 0, 0, theta])
         np.testing.assert_allclose(far[:3], [0.0, theta * L, 0.0], atol=1e-16)
         np.testing.assert_allclose(far[3:], [0.0, 0.0, theta])
@@ -105,6 +103,17 @@ class TestJointBasis:
         np.testing.assert_array_equal(basis.lambda_rigid, np.eye(6)[:5])
         np.testing.assert_array_equal(basis.lambda_free, np.eye(6)[5:])
         assert basis.r == 5 and basis.p == 1
+
+    @pytest.mark.parametrize("name, free", [
+        ("revolute_x", [3]), ("revolute_y", [4]), ("revolute_z", [5]),
+        ("prismatic_x", [0]), ("prismatic_y", [1]), ("prismatic_z", [2]),
+        ("spherical", [3, 4, 5]), ("universal", [3, 4]), ("free", [0, 1, 2, 3, 4, 5]),
+    ])
+    def test_preset_free_axes(self, name, free):
+        basis = msakit.joint_basis_preset(name)
+        rigid = [i for i in range(6) if i not in free]
+        np.testing.assert_array_equal(basis.lambda_rigid, np.eye(6)[rigid])
+        np.testing.assert_array_equal(basis.lambda_free, np.eye(6)[free])
 
     def test_all_presets_are_orthonormal(self):
         for name in msakit.core.JOINT_BASIS_PRESETS:

@@ -170,7 +170,7 @@ class TestRigidLinkEquations:
         d = np.array([0.7, -0.2, 0.5])
         block = rigid_link_equations(d, ("i", "j"))
         dt_i = np.array([0.01, 0.02, -0.01, 0.1, -0.2, 0.05])
-        D = msakit.transport_matrix(d).matrix
+        D = msakit.transport_matrix(d)
         r = block_residual(block, {deflection_var("i"): dt_i, deflection_var("j"): D @ dt_i,
                                    wrench_var("i"): np.zeros(6), wrench_var("j"): np.zeros(6)})
         np.testing.assert_allclose(r, np.zeros(12), atol=1e-15)

@@ -9,7 +9,7 @@ import msakit
 from msakit.assembly import _connection_block
 from msakit.core import _joint_stiffness
 from msakit.equations import deflection_var, wrench_var
-from msakit.model import JunctionSpec
+from msakit.joints import joint_spec
 
 from helpers import block_residual, section_kwargs
 
@@ -17,21 +17,23 @@ RZ = msakit.joint_basis_preset("revolute_z")
 
 
 def rigid_joint(nodes):
-    return _connection_block(msakit.JointSpec(kind="rigid", nodes=nodes))
+    return _connection_block(joint_spec(kind="rigid", nodes=nodes))
 
 
 def passive_joint(basis, nodes):
-    return _connection_block(msakit.JointSpec(kind="passive", nodes=nodes, basis=basis))
+    return _connection_block(joint_spec(kind="passive", nodes=nodes, basis=basis))
 
 
 def elastic_joint(basis, stiffness, nodes, preload=None):
     stiffness = _joint_stiffness(stiffness, preload)
-    return _connection_block(msakit.JointSpec(kind="elastic", nodes=nodes, basis=basis,
-                                              stiffness=stiffness))
+    return _connection_block(joint_spec(kind="elastic", nodes=nodes, basis=basis,
+                                        stiffness=stiffness))
 
 
 def junction(rigid_nodes, passive_nodes=()):
-    return _connection_block(JunctionSpec(tuple(rigid_nodes), tuple(passive_nodes)))
+    attachments = tuple((node, basis, None) for node, basis in passive_nodes)
+    nodes = tuple(rigid_nodes) + tuple(node for node, _, _ in attachments)
+    return _connection_block(msakit.JointSpec("junction", nodes, tuple(rigid_nodes), attachments))
 
 
 class TestRigidJoint:
@@ -60,9 +62,9 @@ class TestRigidJoint:
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            msakit.JointSpec(kind="rigid", nodes=("i", "i"))
+            joint_spec(kind="rigid", nodes=("i", "i"))
         with pytest.raises(ValueError):
-            msakit.JointSpec(kind="rigid", nodes=("i",))
+            joint_spec(kind="rigid", nodes=("i",))
 
 
 class TestPassiveJoint:
@@ -117,7 +119,7 @@ class TestPassiveJoint:
     def test_fully_rigid_basis_rejected(self):
         rigid6 = msakit.make_joint_basis(list(np.eye(6)), [])
         with pytest.raises(ValueError):
-            msakit.JointSpec(kind="passive", nodes=("i", "j"), basis=rigid6)
+            joint_spec(kind="passive", nodes=("i", "j"), basis=rigid6)
 
 
 class TestElasticJoint:
@@ -186,8 +188,8 @@ class TestElasticJoint:
 
     def test_stiffness_shape_must_match_basis(self):
         with pytest.raises(ValueError, match=r"must be 1x1 for this basis, got \(2, 2\)"):
-            msakit.JointSpec(kind="elastic", nodes=("i", "j"), basis=RZ,
-                             stiffness=msakit.JointStiffness(np.eye(2)))
+            joint_spec(kind="elastic", nodes=("i", "j"), basis=RZ,
+                       stiffness=msakit.JointStiffness(np.eye(2)))
 
     def test_indefinite_stiffness_rejected(self):
         with pytest.raises(ValueError):
@@ -196,7 +198,7 @@ class TestElasticJoint:
 
 class TestActuatedJoint:
     def test_as_rigid_delegates(self):
-        spec = msakit.JointSpec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")
+        spec = joint_spec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")
         block = _connection_block(spec)
         ref = rigid_joint(("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
@@ -204,8 +206,8 @@ class TestActuatedJoint:
 
     def test_as_elastic_delegates(self):
         ks = msakit.JointStiffness([[1e4]])
-        spec = msakit.JointSpec(kind="actuated", nodes=("i", "j"), basis=RZ,
-                                stiffness=ks, idealization="as-elastic")
+        spec = joint_spec(kind="actuated", nodes=("i", "j"), basis=RZ,
+                          stiffness=ks, idealization="as-elastic")
         block = _connection_block(spec)
         ref = elastic_joint(RZ, ks, ("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
@@ -213,21 +215,21 @@ class TestActuatedJoint:
 
     def test_missing_stiffness_rejected(self):
         with pytest.raises(ValueError):
-            msakit.JointSpec(kind="actuated", nodes=("i", "j"), basis=RZ,
-                             idealization="as-elastic")
+            joint_spec(kind="actuated", nodes=("i", "j"), basis=RZ,
+                       idealization="as-elastic")
 
     def test_missing_idealization_rejected(self):
         with pytest.raises(ValueError):
-            msakit.JointSpec(kind="actuated", nodes=("i", "j"))
+            joint_spec(kind="actuated", nodes=("i", "j"))
 
 
 class TestJointSpec:
     def test_pairwise_only_for_compliant_kinds(self):
         with pytest.raises(ValueError):
-            msakit.JointSpec(kind="passive", nodes=("i", "j", "k"), basis=RZ)
+            joint_spec(kind="passive", nodes=("i", "j", "k"), basis=RZ)
         with pytest.raises(ValueError):
-            msakit.JointSpec(kind="elastic", nodes=("i", "j", "k"), basis=RZ,
-                             stiffness=msakit.JointStiffness([[1.0]]))
+            joint_spec(kind="elastic", nodes=("i", "j", "k"), basis=RZ,
+                       stiffness=msakit.JointStiffness([[1.0]]))
 
     def test_every_two_node_joint_emits_twelve_rows(self):
         blocks = [
@@ -235,7 +237,7 @@ class TestJointSpec:
             passive_joint(RZ, ("i", "j")),
             elastic_joint(RZ, [[10.0]], ("i", "j")),
             _connection_block(
-                msakit.JointSpec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")),
+                joint_spec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")),
         ]
         assert all(b.rows == 12 for b in blocks)
 
@@ -312,13 +314,12 @@ def _grouped_rows(carrier, attachments, basis, variables) -> np.ndarray:
 @pytest.mark.parametrize("name", ["revolute pin", "spherical pin", "navaro leg junction"])
 def test_template_spans_the_grouped_rows(name):
     if name == "navaro leg junction":
-        spec = next(c for c in msakit.build_navaro_leg().connections
-                    if isinstance(c, JunctionSpec))
-        (node, basis), = spec.passive_nodes
-        carrier, attachments = spec.rigid_nodes, (node,)
+        spec = next(c for c in msakit.build_navaro_leg().connections if c.kind == "junction")
+        (node, basis, _), = spec.attachments
+        carrier, attachments = spec.carrier, (node,)
     else:
         basis = RZ if name == "revolute pin" else msakit.joint_basis_preset("spherical")
-        spec = msakit.JointSpec(kind="passive", nodes=("i", "j"), basis=basis)
+        spec = joint_spec(kind="passive", nodes=("i", "j"), basis=basis)
         carrier, attachments = ("j",), ("i",)
     block = _connection_block(spec)
     variables = [deflection_var(n) for n in spec.nodes] + [wrench_var(n) for n in spec.nodes]

@@ -114,7 +114,8 @@ class TestParse:
         doc = msakit.parse_model(json.dumps(data))
         data["end_effector"] = "d"
         model = msakit.parse_model(json.dumps(data)).to_model()
-        assert model.connections[0].basis.p == 1
+        (_, basis, _), = model.connections[0].attachments
+        assert basis.p == 1
 
     def test_invalid_json_reported(self):
         with pytest.raises(msakit.FormatError):
@@ -125,6 +126,56 @@ class TestParse:
         data["nodes"].append({"id": "a", "position": [2.0, 0.0, 0.0]})
         with pytest.raises(msakit.FormatError):
             msakit.parse_model(json.dumps(data))
+
+
+# Joints and supports that carry a field their kind ignores: (the add call,
+# the document list and entry that describe the same input).
+IGNORED_FIELDS = {
+    "passive joint, stiffness": (
+        lambda m, rz: m.add_joint("passive", ("b", "c"), basis=rz, stiffness=[[7.0]]),
+        "joints", {"type": "passive", "nodes": ["b", "c"], "basis": "revolute_z",
+                   "stiffness": [[7.0]]}),
+    "rigid joint, basis": (
+        lambda m, rz: m.add_joint("rigid", ("b", "c"), basis=rz),
+        "joints", {"type": "rigid", "nodes": ["b", "c"], "basis": "revolute_z"}),
+    "passive joint, idealization": (
+        lambda m, rz: m.add_joint("passive", ("b", "c"), basis=rz, idealization="as-rigid"),
+        "joints", {"type": "passive", "nodes": ["b", "c"], "basis": "revolute_z",
+                   "idealization": "as-rigid"}),
+    "as-rigid actuated joint, basis and stiffness": (
+        lambda m, rz: m.add_joint("actuated", ("b", "c"), basis=rz, stiffness=[[7.0]],
+                                  idealization="as-rigid"),
+        "joints", {"type": "actuated", "nodes": ["b", "c"], "basis": "revolute_z",
+                   "stiffness": [[7.0]], "idealization": "as-rigid"}),
+    "passive support, stiffness": (
+        lambda m, rz: m.add_support("a", "passive", basis=rz, stiffness=[[5.0]]),
+        "supports", {"node": "a", "type": "passive", "basis": "revolute_z",
+                     "stiffness": [[5.0]]}),
+    "rigid support, basis": (
+        lambda m, rz: m.add_support("a", "rigid", basis=rz),
+        "supports", {"node": "a", "type": "rigid", "basis": "revolute_z"}),
+}
+
+
+@pytest.mark.parametrize("name", IGNORED_FIELDS)
+def test_field_the_kind_ignores_is_rejected(name):
+    add, where, entry = IGNORED_FIELDS[name]
+    m = msakit.Model()
+    for node, x in (("a", 0.0), ("b", 1.0), ("c", 1.0)):
+        m.add_node(node, [x, 0, 0])
+    with pytest.raises(msakit.ModelError):
+        add(m, msakit.joint_basis_preset("revolute_z"))
+    data = cantilever_doc()
+    data["nodes"] += [{"id": "c", "position": [1.0, 0.0, 0.0]},
+                      {"id": "d", "position": [2.0, 0.0, 0.0]}]
+    data["links"].append({"type": "beam", "nodes": ["c", "d"], "section": section_kwargs()})
+    data["joints"] = [{"type": "rigid", "nodes": ["b", "c"]}]
+    data["end_effector"] = "d"
+    msakit.parse_model(json.dumps(data)).to_model()
+    data[where][0] = entry
+    with pytest.raises(msakit.FormatError) as err:
+        msakit.parse_model(json.dumps(data)).to_model()
+    assert err.value.path == f"$.{where}[0]"
 
 
 class TestRoundTrip:
