@@ -3,9 +3,11 @@ Cartesian stiffness extraction, loaded solves and model diagnostics.
 
 Unknowns are ordered as all node wrenches followed by all node deflections
 (6 columns each). Rows follow the model catalogue: links, platforms,
-connections, supports, loads. Deflection columns are rescaled by a single
-stiffness magnitude before factorization so wrench and deflection entries
-are comparable; results are reported in physical units.
+connections, supports, loads. Before factorization each column is scaled
+by `GlobalSystem.col_scale`: moment-wrench and translation-deflection ones
+by a link length, deflection ones over a link stiffness in newtons. Every
+row is then homogeneous in its units, so the row-equilibrated system does
+not depend on units. Results are reported in physical units.
 """
 from __future__ import annotations
 
@@ -46,11 +48,12 @@ RESIDUAL_RTOL = 1e-9
 def _emit_blocks(model: Model) -> list:
     """All equation blocks of a model, in the canonical row order."""
     blocks: list[EquationBlock] = []
+    P = model.positions
     for link in model.flexible_links:
-        blocks.append(_elements.flexible_link_equations(link))
+        i, j = link.nodes
+        blocks.append(_elements.flexible_link_equations(link, P[j] - P[i]))
     for i, j in model.rigid_links:
-        d = model.positions[j] - model.positions[i]
-        blocks.append(_elements.rigid_link_equations(d, (i, j)))
+        blocks.append(_elements.rigid_link_equations(P[j] - P[i], (i, j)))
     for platform in model.platforms:
         blocks.append(_platform_block(model, platform))
     for spec in model.connections:
@@ -63,11 +66,10 @@ def _emit_blocks(model: Model) -> list:
 
 
 def _platform_block(model: Model, platform: PlatformSpec) -> EquationBlock:
+    offsets = [model.positions[platform.end] - model.positions[c] for c in platform.clamps]
     if platform.kind == "rigid":
-        end_pos = model.positions[platform.end]
-        clamps = [(c, end_pos - model.positions[c]) for c in platform.clamps]
-        return _elements.rigid_platform_equations(clamps, platform.end)
-    return _elements.flexible_platform_equations(platform.stiffnesses, platform.end)
+        return _elements.rigid_platform_equations(zip(platform.clamps, offsets), platform.end)
+    return _elements.flexible_platform_equations(zip(platform.stiffnesses, offsets), platform.end)
 
 
 def _connection_block(spec: _joints.JointSpec) -> EquationBlock:
@@ -97,7 +99,7 @@ class GlobalSystem:
     row_meta: list                   # (source, kind) per row
     support_nodes: tuple
     end_effector: Hashable | None
-    stiff_scale: float
+    col_scale: np.ndarray            # factor per column of the factored system
     connectivity: dict               # node -> number of blocks that touch it
 
     def __post_init__(self):
@@ -134,15 +136,18 @@ class GlobalSystem:
             out[source] = out.get(source, 0) + 1
         return out
 
-    def _scaled_values(self) -> np.ndarray:
-        """The matrix entries in CSR order, deflection columns divided by
-        `stiff_scale` so that wrench and deflection entries are comparable."""
-        M = self.matrix
-        return M.data * np.where(M.indices >= 6 * self.n_nodes, 1.0 / self.stiff_scale, 1.0)
-
 
 def _concat(arrays: list, dtype) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.zeros(0, dtype=dtype)
+
+
+def _link_length(model: Model) -> float:
+    """Median length of the model's links, platform links included; 1 with none."""
+    pairs = [link.nodes for link in model.flexible_links] + model.rigid_links
+    pairs += [link.nodes for p in model.platforms for link in p.stiffnesses or ()]
+    d = np.array([model.positions[j] - model.positions[i] for i, j in pairs]).reshape(-1, 3)
+    lengths = np.linalg.norm(d, axis=1)[np.any(d, axis=1)]
+    return float(np.median(lengths)) if lengths.size else 1.0
 
 
 def _build_system(model: Model, blocks: list) -> GlobalSystem:
@@ -164,19 +169,26 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
     n_vars = np.array([len(b.variables) for b in blocks], dtype=np.intp)
     var_base = np.cumsum(n_vars) - n_vars
     nnz = [b.coo_values.size for b in blocks]
-    rows = _concat([b.coo_rows for b in blocks], np.intp) + np.repeat(row_base, nnz)
+    local_rows = _concat([b.coo_rows for b in blocks], np.intp)
+    rows = local_rows + np.repeat(row_base, nnz)
     local = _concat([b.coo_cols for b in blocks], np.intp) + 6 * np.repeat(var_base, nnz)
     cols = var_col[local // 6] + local % 6
     values = _concat([b.coo_values for b in blocks], float)
 
-    # Deflection columns are rescaled by a representative link stiffness; joint
-    # springs may be orders of magnitude away by design and must not set it.
+    # Moment and translation columns times a length; deflection columns over
+    # the largest link entry in newtons (link moment rows over the length),
+    # since joint springs may be orders of magnitude away by design.
+    ell = _link_length(model)
+    col_scale = np.ones((2, n, 2, 3))            # (W or t, node, first or last three)
+    col_scale[0, :, 1] = col_scale[1, :, 0] = ell
+    col_scale = col_scale.reshape(-1)
     deflection = cols >= 6 * n
-    peak = np.abs(values[deflection])
+    peak = np.abs(values * col_scale[cols])[deflection]
     in_link = np.repeat(np.array([b.category == "link" for b in blocks], dtype=bool), nnz)
     in_link = in_link[deflection]
-    stiff_scale = max(float(peak[in_link].max(initial=0.0)) or float(peak.max(initial=0.0)),
-                      1.0)
+    moment_row = local_rows[deflection][in_link] % 6 >= 3
+    link_peak = np.where(moment_row, peak[in_link] / ell, peak[in_link]).max(initial=0.0)
+    col_scale[6 * n:] /= max(float(link_peak) or float(peak.max(initial=0.0)), 1.0)
 
     # Blocks touching each node, each block counted once per node.
     var_node = var_col // 6 % n
@@ -198,7 +210,7 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
         row_meta=[(b.source, kind) for b in blocks for kind in b.row_kinds()],
         support_nodes=tuple(model.supports.keys()),
         end_effector=model.end_effector,
-        stiff_scale=stiff_scale,
+        col_scale=col_scale,
         connectivity=dict(zip(nodes, counts.tolist())),
     )
 
@@ -460,43 +472,6 @@ class _Factorization:
 
 # Share of a load outside the system's range above which it is not resisted.
 UNRESISTED_RTOL = 1e-6
-# Veltkamp's constant 2**27 + 1: it splits a double into two halves whose
-# products are exact.
-_SPLIT = 134217729.0
-
-
-def _halves(a: np.ndarray) -> tuple:
-    c = _SPLIT * a
-    high = c - (c - a)
-    return high, a - high
-
-
-def _residual(M: scipy.sparse.csr_matrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - M x, as accurate as if computed in twice the working precision:
-    error-free products and a compensated sum per row (Dot2 of Ogita, Rump
-    and Oishi, SIAM J. Sci. Comput. 26, 2005).
-
-    A refinement step cannot remove an error that the rounding of its
-    residual hides. In a long chain the deflections carry rigid motions many
-    orders above the wrenches, and the rounding of K t in the link rows
-    then hides errors that unbalance the reactions.
-    """
-    v = x[M.indices]
-    p = M.data * v
-    mh, ml = _halves(M.data)
-    vh, vl = _halves(v)
-    err = ((mh * vh - p) + mh * vl + ml * vh) + ml * vl
-    counts = np.diff(M.indptr)
-    row = np.repeat(np.arange(M.shape[0]), counts)
-    terms = np.zeros((counts.max(initial=0), M.shape[0]))
-    terms[np.arange(p.size) - np.repeat(M.indptr[:-1], counts), row] = p
-    total, comp = -b, np.bincount(row, err, minlength=M.shape[0])
-    for term in terms:
-        s = total + term
-        z = s - total
-        comp += (total - (s - z)) + (term - z)
-        total = s
-    return -(total + comp)
 
 
 class _Analysis:
@@ -505,7 +480,7 @@ class _Analysis:
 
     In scaled units, and with the end node's load rows and deflection
     columns last, the system reads [A B; C D] [z; t] = [b_o; b_e]. With
-    Q = A^+ B, S = D - C Q is the Schur complement (Kc = stiff_scale * S).
+    Q = A^+ B, S = D - C Q is the Schur complement (Kc = S / end col_scale).
     Every z = A^+ (b_o - B t) + N c solves the held rows when their
     right-hand side lies in range(A), where N and L are the null bases of A
     and A^T (empty when A is regular). That leaves a (6 + d) system in
@@ -520,7 +495,8 @@ class _Analysis:
     """
 
     def __init__(self, system: GlobalSystem, end: Hashable | None):
-        M, values = system.matrix, system._scaled_values()
+        M = system.matrix
+        values = M.data * system.col_scale[M.indices]
         self._M = scipy.sparse.csr_matrix((values, M.indices, M.indptr), shape=M.shape)
         self.parts = p = _split(system, end, values)
         self.fac = fac = _Factorization(p.A)
@@ -560,8 +536,8 @@ class _Analysis:
             raise ModelError(
                 "load is not resisted by the structure (unresisted direction: "
                 f"{share:.3e} of the load lies outside the system's range)")
-        # One step of refinement: with an accurate residual it converges.
-        return x + self._block_solve(_residual(self._M, x, b))[0]
+        # Exact equilibrium rows leave one plain refinement step enough.
+        return x + self._block_solve(b - self._M @ x)[0]
 
 
 def _analysis(system: GlobalSystem, end: Hashable | None) -> _Analysis:
@@ -583,9 +559,11 @@ def cartesian_stiffness(system: GlobalSystem,
     Directions in which the end node is rigidly tied to ground come back as
     an infinite-stiffness sentinel rather than numeric overflow.
     """
-    analysis = _analysis(system, _end_node(system, end_node))
+    end = _end_node(system, end_node)
+    analysis = _analysis(system, end)
     fac = analysis.fac
-    kc = system.stiff_scale * analysis.S
+    scale = system.col_scale[system.deflection_cols(end)]
+    kc = analysis.S / scale
 
     diag = SolverDiagnostics(
         a_size=fac.n,
@@ -597,8 +575,8 @@ def cartesian_stiffness(system: GlobalSystem,
     if fac.rank < fac.n:
         # End-point motions whose forcing lies outside range(A) are held by
         # rigid constraints: those directions are locked.
-        lock_scale = max(float(np.max(np.abs(fac._scale_rhs(analysis.parts.B)))), 1e-300)
-        _, s, vt = np.linalg.svd(analysis.LtB, full_matrices=False)
+        lock_scale = max(float(np.max(np.abs(fac._scale_rhs(analysis.parts.B) / scale))), 1e-300)
+        _, s, vt = np.linalg.svd(analysis.LtB / scale, full_matrices=False)
         locked = _signed(vt[s > 1e-8 * lock_scale])
         if locked.shape[0] > 0:
             diag.locked, diag.locked_directions = True, locked
@@ -606,14 +584,15 @@ def cartesian_stiffness(system: GlobalSystem,
             diag.infinite = True
             return CartesianStiffness(kc=np.full((6, 6), np.inf), diagnostics=diag)
 
-    norm = np.linalg.norm(kc)
-    asym = np.linalg.norm(kc - kc.T)
-    if norm > 0.0 and not diag.locked:
-        if asym > KC_SYM_RTOL * norm:
-            raise ModelError(
-                f"Cartesian stiffness asymmetry {asym / norm:.3e} exceeds the gate; "
-                "the model is inconsistent")
-        kc = 0.5 * (kc + kc.T)
+    # G Kc G with G = diag(1, 1, 1, 1/l, 1/l, 1/l), up to a factor: one unit.
+    g = scale[:, None] * kc * scale
+    norm = np.linalg.norm(g)
+    asym = np.linalg.norm(g - g.T)
+    if norm > 0.0 and not diag.locked and asym > KC_SYM_RTOL * norm:
+        raise ModelError(
+            f"Cartesian stiffness asymmetry {asym / norm:.3e} exceeds the gate; "
+            "the model is inconsistent")
+    kc = 0.5 * (kc + kc.T)
 
     _, s, vt = np.linalg.svd(kc)
     s_max = float(s[0]) if s.size else 0.0
@@ -694,9 +673,8 @@ def solve_loaded(system: GlobalSystem, loads=None) -> State:
     for node, w in applied.items():
         b[system.load_rows[node]] += w
 
-    x = _analysis(system, system.end_effector).solve(b)
+    x = _analysis(system, system.end_effector).solve(b) * system.col_scale
     n = 6 * system.n_nodes
-    x[n:] /= system.stiff_scale
 
     # Normwise backward error (Rigal-Gaches): the smallest relative change to
     # M and b that x solves exactly, so the gate does not grow with the size
@@ -750,7 +728,8 @@ def _square(system: GlobalSystem) -> GlobalSystem:
     size, pad = max(M.shape), max(M.shape) - M.shape[0]
     indptr = np.concatenate([M.indptr, np.full(pad, M.indptr[-1])])
     matrix = scipy.sparse.csr_matrix((M.data, M.indices, indptr), shape=(size, size))
-    return replace(system, matrix=matrix, rhs=np.concatenate([system.rhs, np.zeros(pad)]))
+    return replace(system, matrix=matrix, rhs=np.concatenate([system.rhs, np.zeros(pad)]),
+                   col_scale=np.concatenate([system.col_scale, np.ones(size - M.shape[1])]))
 
 
 def _mechanism_nodes(system: GlobalSystem, null: np.ndarray, cols: np.ndarray) -> list:

@@ -50,7 +50,9 @@ def _analysis_payload(model, loads: dict) -> dict:
         payload["compliance"] = None
         payload["compliance_pseudo_inverse"] = False
     elif diag.kc_rank < 6:
-        payload["compliance"] = _matrix(np.linalg.pinv(result.kc))
+        # The cutoff that set kc_rank: a looser one inverts rounding noise.
+        payload["compliance"] = _matrix(np.linalg.pinv(result.kc, rcond=assembly.KC_RANK_RTOL,
+                                                       hermitian=True))
         payload["compliance_pseudo_inverse"] = True
     else:
         payload["compliance"] = _matrix(np.linalg.inv(result.kc))

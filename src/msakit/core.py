@@ -20,7 +20,7 @@ def _as_vector(v, size: int, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.shape != (size,):
         raise ModelError(f"{name} must have {size} components, got shape {np.shape(v)}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ModelError(f"{name} has non-finite entries")
     return a
 
@@ -136,10 +136,10 @@ def transport_matrix(d) -> np.ndarray:
     (first point to second). Applied to a deflection at the first point it
     yields the deflection the second point inherits; its transpose
     propagates wrenches the other way."""
-    d = _as_vector(d, 3, "d")
-    T = np.eye(6)
-    T[:3, 3:] = skew(d).T
-    return T
+    x, y, z = _as_vector(d, 3, "d").tolist()
+    return np.array([[1.0, 0.0, 0.0, 0.0, z, -y], [0.0, 1.0, 0.0, -z, 0.0, x],
+                     [0.0, 0.0, 1.0, y, -x, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
 
 
 def rotate_link_stiffness(K, R) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Element models: flexible links, rigid links, and rigid/flexible platforms.
 
 Each emitter returns an EquationBlock over the wrench and deflection
-unknowns of the touched nodes. Flexible elements contribute stiffness rows
--W + K dt = 0; rigid elements contribute compatibility and equilibrium
-constraints built from transport operators.
-
-The model builder checks each element once, when it records it, and binds
-every flexible link to its node pair; the emitters trust their input and
-raise nothing.
+unknowns of the touched nodes. Every element states its equilibrium
+exactly, W_i + D^T W_j = 0 with D the transport operator (about the end
+point, for a platform); flexible elements add stiffness rows -W + K dt = 0,
+rigid ones transported compatibility. The model builder checks each element
+once, a flexible one for being a free body about its node positions, and
+binds every flexible link to its node pair; the emitters raise nothing.
 """
 from __future__ import annotations
 
@@ -162,18 +161,18 @@ def beam_stiffness(section: BeamSection, nodes: tuple | None = None) -> LinkStif
     return LinkStiffness(0.5 * (k + k.T), nodes)  # drop rotation roundoff asymmetry
 
 
-def flexible_link_equations(link: LinkStiffness) -> EquationBlock:
-    """Stiffness rows -W_i - W_j + K [dt_i; dt_j] = 0 for a two-node link."""
+def flexible_link_equations(link: LinkStiffness, d) -> EquationBlock:
+    """A two-node link: equilibrium W_i + D^T W_j = 0 (D the transport for
+    the offset d from i to j) and far-end rows -W_j + K21 dt_i + K22 dt_j = 0."""
     i, j = link.nodes
     return EquationBlock(
         source=f"link({i},{j})",
         rows=12,
         category="link",
         entries=[
-            (0, wrench_var(i), NEG_EYE6),
+            (0, wrench_var(i), EYE6),
+            (0, wrench_var(j), transport_matrix(d).T),
             (6, wrench_var(j), NEG_EYE6),
-            (0, deflection_var(i), link.K11),
-            (0, deflection_var(j), link.K12),
             (6, deflection_var(i), link.K21),
             (6, deflection_var(j), link.K22),
         ],
@@ -200,6 +199,16 @@ def rigid_link_equations(d, nodes) -> EquationBlock:
     )
 
 
+def _balance_about(end: Hashable, clamps: Sequence, row: int) -> list:
+    """Entries of the six rows W_end + sum_k transport(-d_k)^T W_k = 0: the
+    equilibrium about the end point of a platform held at the clamp nodes,
+    for (node, d_k) pairs with d_k pointing from clamp k to the end."""
+    entries = [(row, wrench_var(node), transport_matrix(-np.asarray(d, dtype=float)).T)
+               for node, d in clamps]
+    entries.append((row, wrench_var(end), EYE6))
+    return entries
+
+
 def rigid_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
     """Rigid platform tying clamp nodes to the end node.
 
@@ -209,48 +218,36 @@ def rigid_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
     the end-node wrench.
     """
     clamps = list(clamps)
-    n = len(clamps)
     entries = []
     for k, (node, d) in enumerate(clamps):
-        D = transport_matrix(d)
-        entries.append((6 * k, deflection_var(node), D))
+        entries.append((6 * k, deflection_var(node), transport_matrix(d)))
         entries.append((6 * k, deflection_var(end), NEG_EYE6))
-    row_w = 6 * n
-    for node, d in clamps:
-        # Equilibrium about the end point: transport uses the end-to-clamp offset.
-        D_back = transport_matrix(-np.asarray(d, dtype=float))
-        entries.append((row_w, wrench_var(node), D_back.T))
-    entries.append((row_w, wrench_var(end), EYE6))
     return EquationBlock(
         source=f"rigid_platform({','.join(str(c) for c, _ in clamps)};{end})",
-        rows=6 * n + 6,
-        entries=entries,
+        rows=6 * len(clamps) + 6,
+        entries=entries + _balance_about(end, clamps, 6 * len(clamps)),
     )
 
 
-def flexible_platform_equations(clamp_links: Sequence[LinkStiffness], end: Hashable) -> EquationBlock:
+def flexible_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
     """Platform approximated by virtual flexible links sharing the end node.
 
-    Emits stiffness rows with one diagonal block per clamp and the end-node
-    block equal to the sum of the per-link far-end blocks.
+    `clamps` holds (link, d) pairs, each link bound to (clamp, end) and d
+    pointing from the clamp to the end. Each clamp gives its link's near-end
+    rows -W_c + K11 dt_c + K12 dt_end = 0; the end rows are the equilibrium
+    about the end point, as for a rigid platform.
     """
-    links = list(clamp_links)
-    n = len(links)
+    clamps = list(clamps)
     entries = []
-    k22_sum = np.zeros((6, 6))
-    row_e = 6 * n
-    for k, link in enumerate(links):
+    for k, (link, _) in enumerate(clamps):
         clamp = link.nodes[0]
         entries.append((6 * k, wrench_var(clamp), NEG_EYE6))
         entries.append((6 * k, deflection_var(clamp), link.K11))
         entries.append((6 * k, deflection_var(end), link.K12))
-        entries.append((row_e, deflection_var(clamp), link.K21))
-        k22_sum = k22_sum + link.K22
-    entries.append((row_e, wrench_var(end), NEG_EYE6))
-    entries.append((row_e, deflection_var(end), k22_sum))
+    nodes = [(link.nodes[0], d) for link, d in clamps]
     return EquationBlock(
-        source=f"flexible_platform({','.join(str(link.nodes[0]) for link in links)};{end})",
-        rows=6 * n + 6,
+        source=f"flexible_platform({','.join(str(c) for c, _ in nodes)};{end})",
+        rows=6 * len(clamps) + 6,
         category="link",
-        entries=entries,
+        entries=entries + _balance_about(end, nodes, 6 * len(clamps)),
     )

@@ -6,7 +6,8 @@ an element, connection, support or load point is checked once, by the
 `add_*` call that records it (for joints, by `joints.joint_spec`), and a
 field that a joint's or support's kind would ignore is an error there; the
 emitters trust the model. Joints and junctions alike are recorded as one
-`JointSpec` each, in the terms of the connection template.
+`JointSpec` each, in the terms of the connection template; a flexible link
+must be a free body about its node positions.
 """
 from __future__ import annotations
 
@@ -16,13 +17,16 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .boundary import SUPPORT_KINDS
-from .core import JointBasis, JointStiffness, _as_vector, _joint_stiffness
+from .core import JointBasis, JointStiffness, _as_vector, _joint_stiffness, transport_matrix
 from .elements import BeamSection, LinkStiffness, beam_stiffness
 from .errors import ModelError
 from .joints import JointSpec, _check_spring, joint_spec
 
 # Absolute slack, scaled by model extent, for "these joint nodes coincide".
 COINCIDENT_TOL = 1e-9
+# Largest ||K[:6] + D^T K[6:]|| / ||K|| of a free-body link (D the transport of
+# its node offset); long chains and loops amplify the defect, so it is tight.
+FREE_BODY_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +90,24 @@ class Model:
 
     # -- links and platforms ---------------------------------------------
 
+    def _require_free_body(self, link: LinkStiffness) -> None:
+        i, j = link.nodes
+        D = transport_matrix(self.positions[j] - self.positions[i])
+        norm = float(np.linalg.norm(link.K))
+        defect = float(np.linalg.norm(link.K[:6] + D.T @ link.K[6:]))
+        if defect > FREE_BODY_RTOL * norm:
+            raise ModelError(f"link({i},{j}) is not a free body about its node positions "
+                             f"(relative defect {defect / norm:.3e}); model a foundation "
+                             "as an elastic support instead")
+
     def add_flexible_link(self, i: Hashable, j: Hashable, K) -> LinkStiffness:
-        """Attach a 12x12 global-frame stiffness between nodes i and j."""
+        """Attach a 12x12 global-frame free-body stiffness between nodes i and j."""
         self._require_nodes([i, j])
         if isinstance(K, LinkStiffness):
             link = K if K.nodes == (i, j) else K.with_nodes(i, j)
         else:
             link = LinkStiffness.from_matrix(K, (i, j))
+        self._require_free_body(link)
         self.flexible_links.append(link)
         return link
 
@@ -108,7 +123,9 @@ class Model:
         if L <= 0.0:
             raise ModelError(f"beam ({i!r},{j!r}) has zero length")
         section = BeamSection(E=E, G=G, A=A, L=L, Iy=Iy, Iz=Iz, J=J, axis=d / L)
-        return self.add_flexible_link(i, j, beam_stiffness(section, (i, j)))
+        link = beam_stiffness(section, (i, j))    # a free body by construction
+        self.flexible_links.append(link)
+        return link
 
     def add_rigid_link(self, i: Hashable, j: Hashable) -> None:
         self._require_nodes([i, j])
@@ -128,7 +145,7 @@ class Model:
         self.platforms.append(PlatformSpec(kind="rigid", clamps=clamps, end=end))
 
     def add_flexible_platform(self, clamp_stiffness: Mapping, end: Hashable) -> None:
-        """Platform from virtual flexible links: {clamp node: 12x12 matrix}."""
+        """Platform from free-body virtual links: {clamp node: 12x12 matrix}."""
         clamps = tuple(clamp_stiffness.keys())
         self._require_nodes(list(clamps) + [end])
         if not clamps:
@@ -138,6 +155,8 @@ class Model:
             else LinkStiffness.from_matrix(K.K if isinstance(K, LinkStiffness) else K, (c, end))
             for c, K in clamp_stiffness.items()
         )
+        for link in links:
+            self._require_free_body(link)
         self.platforms.append(PlatformSpec(kind="flexible", clamps=clamps, end=end,
                                            stiffnesses=links))
 

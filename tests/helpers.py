@@ -38,10 +38,14 @@ def random_section(rng) -> dict:
     }
 
 
-def random_chain(rng, n_links: int, joint_stiffness: float | None = None) -> msakit.Model:
+def random_chain(rng, n_links: int, joint_stiffness: float | None = None,
+                 length_unit: float = 1.0) -> msakit.Model:
     """Serial chain of beams with a clamped base. Inter-link joints are rigid,
-    or, given a joint stiffness, elastic revolute joints about a random
-    global axis."""
+    or, given a joint stiffness (N*m/rad), elastic revolute joints about a
+    random global axis. The model is built in a length unit of 1/length_unit
+    metres (1e3 for mm; forces stay in N): the same draws give the same
+    structure in any unit."""
+    u = length_unit
     presets = [msakit.joint_basis_preset(f"revolute_{axis}") for axis in "xyz"]
     m = msakit.Model()
     p = np.zeros(3)
@@ -50,14 +54,16 @@ def random_chain(rng, n_links: int, joint_stiffness: float | None = None) -> msa
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         q = p + rng.uniform(0.3, 1.2) * direction
-        m.add_node(f"a{k}", p)
-        m.add_node(f"b{k}", q)
-        m.add_beam(f"a{k}", f"b{k}", **random_section(rng))
+        m.add_node(f"a{k}", u * p)
+        m.add_node(f"b{k}", u * q)
+        sec = random_section(rng)
+        m.add_beam(f"a{k}", f"b{k}", E=sec["E"] / u**2, G=sec["G"] / u**2, A=sec["A"] * u**2,
+                   Iy=sec["Iy"] * u**4, Iz=sec["Iz"] * u**4, J=sec["J"] * u**4)
         if prev_far is not None and joint_stiffness is None:
             m.add_joint("rigid", (prev_far, f"a{k}"))
         elif prev_far is not None:
             m.add_joint("elastic", (prev_far, f"a{k}"), basis=presets[rng.integers(3)],
-                        stiffness=[[joint_stiffness]])
+                        stiffness=[[joint_stiffness * u]])
         prev_far = f"b{k}"
         p = q
     m.add_support("a0", "rigid")
@@ -176,7 +182,8 @@ def _null_basis(M: np.ndarray) -> np.ndarray:
 def dense_audit(model) -> dict:
     """Ranks, mechanisms, states of self-stress, locked directions and Kc of
     a model by dense SVD and complete orthogonal decomposition (`gelsy`) of
-    the scaled, row-equilibrated system. Mechanisms are the rank of the
+    the row-equilibrated system, its columns scaled by the library's own
+    `col_scale` so that both rank the same matrix. Mechanisms are the rank of the
     deflection rows of the held block's null basis (a direction moves when
     more than 1e-6 of its squared norm lies on deflections); the other null
     vectors are states of self-stress. With no end effector the held block
@@ -184,10 +191,9 @@ def dense_audit(model) -> dict:
     from msakit import assembly
 
     system = assembly._build_system(model, assembly._emit_blocks(model))
-    M = system.matrix.toarray()
+    M = system.matrix.toarray() * system.col_scale
     rows, cols = M.shape
     n = 6 * system.n_nodes
-    M[:, n:] *= 1.0 / system.stiff_scale
     end = system.end_effector
     end_rows = [] if end is None else system.load_rows[end]
     end_cols = [] if end is None else np.arange(cols)[system.deflection_cols(end)]
@@ -205,10 +211,13 @@ def dense_audit(model) -> dict:
     scale = _row_scale(A)
     A, B = A * scale, M[np.ix_(keep_rows, end_cols)] * scale
     X = scipy.linalg.lstsq(A, B, cond=ORACLE_RTOL, lapack_driver="gelsy")[0]
-    _, s, vt = np.linalg.svd(A @ X - B)
-    locked = vt[s > 1e-8 * max(float(np.max(np.abs(B))), 1e-300) * np.sqrt(A.shape[0])]
+    # Locked directions in physical coordinates, as the library reports them.
+    end_scale = system.col_scale[end_cols]
+    _, s, vt = np.linalg.svd((A @ X - B) / end_scale)
+    B_max = max(float(np.max(np.abs(B / end_scale))), 1e-300)
+    locked = vt[s > 1e-8 * B_max * np.sqrt(A.shape[0])]
     out["locked"] = locked.shape[0]
     out["infinite"] = locked.shape[0] == 6
     C, D = M[np.ix_(end_rows, keep_cols)], M[np.ix_(end_rows, end_cols)]
-    out["kc"] = system.stiff_scale * (D - C @ X)
+    out["kc"] = (D - C @ X) / end_scale
     return out

@@ -96,7 +96,7 @@ class TestLinkStiffness:
 class TestFlexibleLinkEquations:
     def _block(self):
         link = msakit.beam_stiffness(_section()).with_nodes("i", "j")
-        return link, flexible_link_equations(link)
+        return link, flexible_link_equations(link, [1.0, 0, 0])
 
     def test_row_count_and_category(self):
         _, block = self._block()
@@ -148,7 +148,30 @@ class TestFlexibleLinkEquations:
         m.add_node("j", [1.0, 0, 0])
         link = m.add_flexible_link("i", "j", msakit.beam_stiffness(_section()))
         assert link.nodes == ("i", "j")
-        assert flexible_link_equations(link).variables[0] == wrench_var("i")
+        assert flexible_link_equations(link, [1.0, 0, 0]).variables[0] == wrench_var("i")
+
+
+class TestFreeBodyGate:
+    """A link matrix must be a free body about the positions of its nodes."""
+
+    def _stretched(self):
+        # A 1 m beam's matrix, its nodes 1% farther apart than its section length.
+        m = msakit.Model()
+        m.add_node("i", [0, 0, 0])
+        m.add_node("j", [1.01, 0, 0])
+        return m, msakit.beam_stiffness(_section())
+
+    def test_flexible_link_rejected(self):
+        m, link = self._stretched()
+        with pytest.raises(msakit.ModelError, match=r"link\(i,j\).*elastic support"):
+            m.add_flexible_link("i", "j", link)
+        assert m.flexible_links == []
+
+    def test_flexible_platform_link_rejected(self):
+        m, link = self._stretched()
+        with pytest.raises(msakit.ModelError, match=r"link\(i,j\).*elastic support"):
+            m.add_flexible_platform({"i": link}, "j")
+        assert m.platforms == []
 
 
 class TestRigidLinkEquations:
@@ -262,33 +285,58 @@ class TestRigidPlatformEquations:
 
 
 class TestFlexiblePlatformEquations:
-    def _links(self, n):
+    def _clamps(self, n):
+        """(link, d) pairs of 0.5 m beams on (c_k, e), d pointing from c_k to e."""
         out = []
         for k in range(n):
             axis = np.array([np.cos(2 * np.pi * k / max(n, 1)), np.sin(2 * np.pi * k / max(n, 1)), 0.4])
             axis /= np.linalg.norm(axis)
-            out.append(msakit.beam_stiffness(_section(L=0.5, axis=axis)).with_nodes(f"c{k}", "e"))
+            link = msakit.beam_stiffness(_section(L=0.5, axis=axis)).with_nodes(f"c{k}", "e")
+            out.append((link, 0.5 * axis))
         return out
 
     def test_single_clamp_matches_flexible_link(self):
-        link = self._links(1)[0]
-        platform = flexible_platform_equations([link], "e")
-        plain = flexible_link_equations(link)
-        order = [wrench_var("c0"), wrench_var("e"), deflection_var("c0"), deflection_var("e")]
-        np.testing.assert_allclose(platform.dense(order)[0], plain.dense(order)[0], atol=1e-15)
+        (link, d), = self._clamps(1)
+        kc = []
+        for platform in (False, True):
+            m = msakit.Model()
+            m.add_node("c0", -d)
+            m.add_node("e", [0, 0, 0])
+            if platform:
+                m.add_flexible_platform({"c0": link}, "e")
+            else:
+                m.add_flexible_link("c0", "e", link)
+            m.add_support("c0", "rigid")
+            m.set_end_effector("e")
+            kc.append(m.cartesian_stiffness().kc)
+        np.testing.assert_allclose(kc[1], kc[0], rtol=0, atol=1e-12 * np.linalg.norm(kc[0]))
 
-    def test_assembled_matrix_symmetric(self):
-        links = self._links(3)
-        block = flexible_platform_equations(links, "e")
-        order = [wrench_var(f"c{k}") for k in range(3)] + [wrench_var("e")]
-        order += [deflection_var(f"c{k}") for k in range(3)] + [deflection_var("e")]
-        M, _ = block.dense(order)
-        K_platform = M[:, 24:]
-        np.testing.assert_allclose(K_platform, K_platform.T, atol=1e-9 * np.abs(K_platform).max())
+    def test_satisfied_by_assembled_symmetric_stiffness(self):
+        clamps = self._clamps(3)
+        block = flexible_platform_equations(clamps, "e")
+        # The platform's 24x24 stiffness over (c0, c1, c2, e), link by link.
+        K_p = np.zeros((24, 24))
+        for k, (link, _) in enumerate(clamps):
+            idx = np.r_[6 * k:6 * k + 6, 18:24]
+            K_p[np.ix_(idx, idx)] += link.K
+        np.testing.assert_array_equal(K_p, K_p.T)
+        nodes = ["c0", "c1", "c2", "e"]
+        norm = max(np.linalg.norm(link.K) for link, _ in clamps)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            t = rng.normal(size=24)
+            w = K_p @ t
+            values = {}
+            for k, node in enumerate(nodes):
+                values[deflection_var(node)] = t[6 * k:6 * k + 6]
+                values[wrench_var(node)] = w[6 * k:6 * k + 6]
+            r = block_residual(block, values)
+            assert np.linalg.norm(r) <= 1e-12 * norm * np.linalg.norm(t)
 
     def test_clamps_held_sum_far_blocks(self):
-        links = self._links(3)
-        block = flexible_platform_equations(links, "e")
+        clamps = self._clamps(3)
+        links = [link for link, _ in clamps]
+        block = flexible_platform_equations(clamps, "e")
         dt_e = np.array([1e-3, 2e-3, -1e-3, 1e-4, -2e-4, 3e-4])
         values = {deflection_var("e"): dt_e, wrench_var("e"): sum(l.K22 for l in links) @ dt_e}
         for link in links:
@@ -305,6 +353,6 @@ class TestFlexiblePlatformEquations:
         assert [k.nodes for k in m.platforms[0].stiffnesses] == [("c0", "e")]
 
     def test_row_category_is_link(self):
-        block = flexible_platform_equations(self._links(2), "e")
+        block = flexible_platform_equations(self._clamps(2), "e")
         assert block.rows == 18
         assert set(block.row_kinds()) == {"link"}

@@ -104,6 +104,16 @@ class TestParse:
         with pytest.raises(msakit.FormatError):
             msakit.parse_model(json.dumps(data))
 
+    def test_link_off_its_nodes_is_a_format_error_at_its_entry(self):
+        # A 1 m beam matrix between nodes 1.01 m apart is not a free body there.
+        K = msakit.beam_stiffness(msakit.BeamSection(L=1.0, axis=[1, 0, 0], **section_kwargs())).K
+        data = cantilever_doc()
+        data["nodes"][1]["position"] = [1.01, 0.0, 0.0]
+        data["links"][0] = {"type": "flexible", "nodes": ["a", "b"], "stiffness": K.tolist()}
+        with pytest.raises(msakit.FormatError) as err:
+            msakit.parse_model(json.dumps(data)).to_model()
+        assert err.value.path == "$.links[0]"
+
     def test_preset_basis_expands(self):
         data = cantilever_doc()
         data["nodes"].append({"id": "c", "position": [1.0, 0.0, 0.0]})
@@ -356,6 +366,24 @@ class TestCli:
         # The generated model file re-parses and re-assembles identically.
         doc = msakit.parse_model((tmp_path / "navaro_leg_model.json").read_text())
         assert doc.to_model().assemble().shape == (120, 120)
+        # The compliance of a stiffness with a mechanism is PSD, of Kc's rank.
+        eig = np.linalg.eigvalsh(np.array(result["compliance"]))
+        scale = np.abs(eig).max()
+        assert eig.min() >= -1e-12 * scale
+        assert np.sum(eig > 1e-9 * scale) == result["diagnostics"]["kc_rank"]
+
+    def test_compliance_drops_what_kc_rank_drops(self, tmp_path, capsys, monkeypatch):
+        # A mechanism whose stiffness is noise 1e-12 below the largest: above
+        # numpy's default pinv cutoff, below the one that sets kc_rank.
+        kc = np.diag([1e6, 5e5, 2e5, 1e3, 5e2, 1e-6])
+        diag = msakit.assembly.SolverDiagnostics(a_size=0, a_rank=0, pseudo_inverse=False,
+                                                 condition_estimate=1.0, kc_rank=5, mechanisms=1)
+        monkeypatch.setattr(msakit.assembly, "cartesian_stiffness",
+                            lambda system: msakit.assembly.CartesianStiffness(kc, diag))
+        assert main(["analyze", self._write(tmp_path, cantilever_doc())]) == 0
+        compliance = np.array(json.loads(capsys.readouterr().out)["compliance"])
+        np.testing.assert_allclose(compliance, np.diag([1e-6, 2e-6, 5e-6, 1e-3, 2e-3, 0.0]),
+                                   rtol=1e-12, atol=0)
 
     def test_navaro_full_run(self, tmp_path):
         assert main(["navaro", "--out", str(tmp_path)]) == 0
