@@ -23,7 +23,7 @@ from . import boundary as _boundary
 from . import elements as _elements
 from . import joints as _joints
 from .core import Wrench, _as_vector
-from .equations import EquationBlock
+from .equations import EquationBlock, layout
 from .errors import ModelError
 from .model import Model, PlatformSpec, SupportSpec
 
@@ -137,10 +137,6 @@ class GlobalSystem:
         return out
 
 
-def _concat(arrays: list, dtype) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=dtype)
-
-
 def _link_length(model: Model) -> float:
     """Median length of the model's links, platform links included; 1 with none."""
     pairs = [link.nodes for link in model.flexible_links] + model.rigid_links
@@ -151,14 +147,13 @@ def _link_length(model: Model) -> float:
 
 
 def _build_system(model: Model, blocks: list) -> GlobalSystem:
-    """Aggregate the blocks' local triplets in one pass over stacked arrays."""
+    """Aggregate the blocks, laid out in one pass over stacked arrays."""
     nodes = list(model.positions.keys())
     n = len(nodes)
     col_of = {(kind, node): base + 6 * k for kind, base in (("W", 0), ("t", 6 * n))
               for k, node in enumerate(nodes)}
-    variables = [var for block in blocks for var in block.variables]
     try:
-        var_col = np.fromiter(map(col_of.__getitem__, variables), np.intp, len(variables))
+        rows, cols, values, entry_block, entry_col, kinds = layout(blocks, col_of)
     except KeyError as exc:
         var = exc.args[0]
         source = next(b.source for b in blocks if var in b.variables)
@@ -166,14 +161,7 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
 
     block_rows = np.array([b.rows for b in blocks], dtype=np.intp)
     row_base = np.cumsum(block_rows) - block_rows
-    n_vars = np.array([len(b.variables) for b in blocks], dtype=np.intp)
-    var_base = np.cumsum(n_vars) - n_vars
-    nnz = [b.coo_values.size for b in blocks]
-    local_rows = _concat([b.coo_rows for b in blocks], np.intp)
-    rows = local_rows + np.repeat(row_base, nnz)
-    local = _concat([b.coo_cols for b in blocks], np.intp) + 6 * np.repeat(var_base, nnz)
-    cols = var_col[local // 6] + local % 6
-    values = _concat([b.coo_values for b in blocks], float)
+    n_rows = int(block_rows.sum())
 
     # Moment and translation columns times a length; deflection columns over
     # the largest link entry in newtons (link moment rows over the length),
@@ -184,20 +172,21 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
     col_scale = col_scale.reshape(-1)
     deflection = cols >= 6 * n
     peak = np.abs(values * col_scale[cols])[deflection]
-    in_link = np.repeat(np.array([b.category == "link" for b in blocks], dtype=bool), nnz)
-    in_link = in_link[deflection]
-    moment_row = local_rows[deflection][in_link] % 6 >= 3
+    d_rows = rows[deflection]
+    in_link = np.repeat(np.array([b.category == "link" for b in blocks], dtype=bool),
+                        block_rows)[d_rows]
+    local_row = np.arange(n_rows) - np.repeat(row_base, block_rows)
+    moment_row = local_row[d_rows][in_link] % 6 >= 3
     link_peak = np.where(moment_row, peak[in_link] / ell, peak[in_link]).max(initial=0.0)
     col_scale[6 * n:] /= max(float(link_peak) or float(peak.max(initial=0.0)), 1.0)
 
     # Blocks touching each node, each block counted once per node.
-    var_node = var_col // 6 % n
-    touched = np.unique(np.repeat(np.arange(len(blocks)), n_vars) * n + var_node)
+    touched = np.unique(entry_block * n + entry_col // 6 % n)
     counts = np.bincount(touched % n, minlength=n)
 
     keep = values != 0.0
     matrix = scipy.sparse.coo_matrix(
-        (values[keep], (rows[keep], cols[keep])), shape=(int(block_rows.sum()), 12 * n)
+        (values[keep], (rows[keep], cols[keep])), shape=(n_rows, 12 * n)
     ).tocsr()
     load_rows = {b.load_node: np.arange(base, base + b.rows)
                  for b, base in zip(blocks, row_base.tolist()) if b.category == "load"}
@@ -205,9 +194,9 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
         nodes=nodes,
         positions=dict(model.positions),
         matrix=matrix,
-        rhs=_concat([b.rhs for b in blocks], float),
+        rhs=np.concatenate([b.rhs for b in blocks] or [np.zeros(0)]),
         load_rows=load_rows,
-        row_meta=[(b.source, kind) for b in blocks for kind in b.row_kinds()],
+        row_meta=list(zip((b.source for b in blocks for _ in range(b.rows)), kinds)),
         support_nodes=tuple(model.supports.keys()),
         end_effector=model.end_effector,
         col_scale=col_scale,
@@ -250,7 +239,7 @@ def assemble(model: Model) -> GlobalSystem:
     if loose:
         raise ModelError(f"nodes touched by one block only: {loose!r}; "
                          "give each a connection, a support or a load point")
-    link_ends = {node for block in blocks[:first] for _, node in block.variables}
+    link_ends = {var[1] for block in blocks[:first] for _, var, _ in block.entries}
     unlinked = [node for node in model.supports if node not in link_ends]
     if unlinked:
         raise ModelError(f"supports on nodes that no link or platform touches: {unlinked!r}; "

@@ -97,10 +97,6 @@ class Deflection:
         a = _as_vector(a, 6, "deflection")
         return cls(a[:3], a[3:])
 
-    @classmethod
-    def zero(cls) -> "Deflection":
-        return cls(np.zeros(3), np.zeros(3))
-
 
 @dataclass(frozen=True, eq=False)
 class Wrench:
@@ -121,10 +117,6 @@ class Wrench:
     def from_array(cls, a) -> "Wrench":
         a = _as_vector(a, 6, "wrench")
         return cls(a[:3], a[3:])
-
-    @classmethod
-    def zero(cls) -> "Wrench":
-        return cls(np.zeros(3), np.zeros(3))
 
     def about_origin(self, position) -> np.ndarray:
         """Equivalent wrench at the global origin for application point `position`."""

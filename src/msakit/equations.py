@@ -2,19 +2,18 @@
 
 A block is a group of scalar equations over per-node wrench and deflection
 unknowns. Emitters give its coefficients as (row offset, variable, sub-block)
-entries; the block turns them once into local COO triplets over its own
-variables (six columns each, in order of first use), which the assembler
-scatters into the global sparse matrix while keeping provenance per row.
+entries and the block keeps them as given. `layout` maps the entries of any
+list of blocks onto global COO triplets and row kinds in one vectorized
+pass; the assembler scatters them into the global sparse matrix while
+keeping provenance per row. Emitters trust the model, so blocks check
+nothing: one test over every emitter holds their layout invariants.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-
-from .errors import ModelError
 
 # Variable reference: ("W", node) for a wrench, ("t", node) for a deflection.
 Var = tuple
@@ -23,6 +22,11 @@ Var = tuple
 EYE6 = np.eye(6)
 NEG_EYE6 = -EYE6
 EYE6.flags.writeable = NEG_EYE6.flags.writeable = False
+
+# Row kinds by code: constraint rows are coded 1 (deflections only), 2
+# (wrenches only) or 3 (both); link and load rows by their category.
+_ROW_KINDS = ("", "compat", "wrench", "mixed", "link", "load")
+_CATEGORY_CODE = {"constraint": 0, "link": 4, "load": 5}
 
 
 def wrench_var(node: Hashable) -> Var:
@@ -37,15 +41,12 @@ def deflection_var(node: Hashable) -> Var:
 class EquationBlock:
     """Rows of the global model contributed by one element, joint or boundary.
 
-    category is "link" for stiffness relations (the [-I | K] rows), "load"
-    for external-wrench equilibrium rows, and "constraint" otherwise.
-    Load blocks carry `load_node`, the key under which the applied wrench is
-    bound to the right-hand side at solve time.
-
-    `variables` lists the block's variables in order of first use; entry
-    coefficients, zeros included, are kept as triplets (`coo_rows`,
-    `coo_cols`, `coo_values`), column 6k + c being component c of
-    variable k.
+    `entries` are (row offset, variable, sub-block) triplets, each sub-block
+    an (r, 6) float array over the six components of its variable; entries
+    that share rows add up. category is "link" for stiffness relations (the
+    [-I | K] rows), "load" for external-wrench equilibrium rows, and
+    "constraint" otherwise. Load blocks carry `load_node`, the key under
+    which the applied wrench is bound to the right-hand side at solve time.
     """
 
     source: str
@@ -56,90 +57,56 @@ class EquationBlock:
     load_node: Hashable | None = None
 
     def __post_init__(self):
-        if self.rows <= 0:
-            raise ModelError("equation block must have at least one row")
-        if self.category not in ("link", "constraint", "load"):
-            raise ModelError(f"unknown block category {self.category!r}")
-        if (self.category == "load") != (self.load_node is not None):
-            raise ModelError("load blocks (and only load blocks) carry a load node")
-        starts, variables, subs = zip(*self.entries) if self.entries else ((), (), ())
-        subs = [s if s.ndim == 2 else s.reshape(1, -1)
-                for s in (np.asarray(s, dtype=float) for s in subs)]
-        self.variables = list(dict.fromkeys(variables))
-        slot = dict(zip(self.variables, range(len(self.variables))))
-        try:
-            self.coo_rows, self.coo_cols, self._kinds = _pattern(
-                self.rows, starts, tuple(s.shape for s in subs),
-                tuple(map(slot.__getitem__, variables)),
-                tuple(kind for kind, _ in self.variables))
-        except ModelError as exc:
-            raise ModelError(f"{self.source}: {exc}") from None
-        values = np.concatenate(subs).ravel()
-        if not np.isfinite(values).all():
-            raise ModelError(f"{self.source}: non-finite coefficients")
-        self.coo_values = values
-        self.entries = list(zip(map(int, starts), variables, subs))
-        self.rhs = (np.zeros(self.rows) if self.rhs is None
-                    else np.asarray(self.rhs, dtype=float).reshape(-1))
-        if self.rhs.shape != (self.rows,):
-            raise ModelError(f"{self.source}: rhs length {self.rhs.shape[0]} != rows {self.rows}")
+        if self.rhs is None:
+            self.rhs = np.zeros(self.rows)
+
+    @property
+    def variables(self) -> list:
+        """The block's variables in order of first use."""
+        return list(dict.fromkeys(var for _, var, _ in self.entries))
 
     def row_kinds(self) -> list:
         """Per-row classification: link, load, compat, wrench or mixed."""
-        if self.category != "constraint":
-            return [self.category] * self.rows
-        return list(self._kinds)
+        return layout([self], dict.fromkeys(self.variables, 0))[5]   # columns do not matter
 
     def dense(self, variables: Sequence[Var] | None = None) -> tuple:
         """Dense coefficient matrix over `variables` (default: this block's own).
 
         Returns (matrix, ordered variables); handy for rank audits.
         """
-        if variables is None:
-            variables = self.variables
-        index = {var: 6 * i for i, var in enumerate(variables)}
-        for var in self.variables:
-            if var not in index:
-                raise ModelError(f"variable {var} not in the requested ordering")
-        base = np.array([index[var] for var in self.variables], dtype=np.intp)
+        variables = self.variables if variables is None else list(variables)
+        rows, cols, values = layout([self], {var: 6 * k for k, var in enumerate(variables)})[:3]
         M = np.zeros((self.rows, 6 * len(variables)))
-        np.add.at(M, (self.coo_rows, base[self.coo_cols // 6] + self.coo_cols % 6),
-                  self.coo_values)
-        return M, list(variables)
+        np.add.at(M, (rows, cols), values)
+        return M, variables
 
 
-@functools.lru_cache(maxsize=1024)
-def _pattern(rows: int, starts: tuple, shapes: tuple, slots: tuple, kinds: tuple) -> tuple:
-    """Checked layout of a block's entries: the local COO row and column of
-    every coefficient, and the compat/wrench/mixed kind of every row.
+def layout(blocks: Sequence[EquationBlock], col_of: Mapping) -> tuple:
+    """Lay out the entries of `blocks`, stacked in order, in one pass.
 
-    Entry k starts at row starts[k], has shape shapes[k] and refers to
-    variable slots[k], of kind kinds[slots[k]]. The layout does not depend
-    on the values, so every link, joint or support of one type shares one
-    cached result.
+    `col_of` maps each variable to its first column. Returns (rows, cols,
+    values, entry_block, entry_col, kinds): the COO triplets of every
+    coefficient, zeros included, in entry order; the block and first column
+    of every entry; and the kind of every row (see `EquationBlock.row_kinds`).
     """
-    shapes = np.array(shapes, dtype=np.intp).reshape(-1, 2)
-    if np.any(shapes[:, 1] != 6):
-        raise ModelError("coefficient blocks must be 6 columns wide")
-    starts = np.array(starts, dtype=np.intp)
-    ends = starts + shapes[:, 0]
-    outside = (starts < 0) | (ends > rows)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ModelError(f"entry rows [{starts[k]}, {ends[k]}) outside block of {rows} rows")
-    unknown = set(kinds) - {"W", "t"}
-    if unknown:
-        raise ModelError(f"unknown variable kind {unknown.pop()!r}")
-    sizes = 6 * shapes[:, 0]
-    entry = np.repeat(np.arange(len(sizes)), sizes)
+    heights = [block.rows for block in blocks]
+    total = sum(heights)
+    row_base = np.cumsum(heights, dtype=np.intp) - heights
+    flat = [(base + start, var, sub) for block, base in zip(blocks, row_base.tolist())
+            for start, var, sub in block.entries]
+    starts, variables, subs = zip(*flat) if flat else ((), (), ())
+    n = len(flat)
+    entry_block = np.repeat(np.arange(len(blocks)), [len(block.entries) for block in blocks])
+    entry_col = np.fromiter(map(col_of.__getitem__, variables), np.intp, n)
+    sizes = 6 * np.fromiter(map(len, subs), np.intp, n)
+    entry = np.repeat(np.arange(n), sizes)
     offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    coo_rows = starts[entry] + offset // 6
-    coo_cols = 6 * np.array(slots, dtype=np.intp)[entry] + offset % 6
-    deflection = (np.array(kinds) == "t")[coo_cols // 6]
-    has_t = np.bincount(coo_rows[deflection], minlength=rows) > 0
-    has_w = np.bincount(coo_rows[~deflection], minlength=rows) > 0
-    if not (has_t | has_w).all():
-        raise ModelError("rows without any coefficient entry")
-    row_kinds = np.where(has_t & has_w, "mixed", np.where(has_t, "compat", "wrench"))
-    coo_rows.flags.writeable = coo_cols.flags.writeable = False
-    return coo_rows, coo_cols, tuple(row_kinds.tolist())
+    rows = np.array(starts, dtype=np.intp)[entry] + offset // 6
+    cols = entry_col[entry] + offset % 6
+    values = np.concatenate(subs, axis=None) if n else np.zeros(0)
+    deflection = np.fromiter((var[0] == "t" for var in variables), bool, n)[entry]
+    code = ((np.bincount(rows[deflection], minlength=total) > 0)
+            + 2 * (np.bincount(rows[~deflection], minlength=total) > 0))
+    category = np.repeat([_CATEGORY_CODE[block.category] for block in blocks], heights)
+    kinds = list(map(_ROW_KINDS.__getitem__, np.where(category, category, code).tolist()))
+    return rows, cols, values, entry_block, entry_col, kinds

@@ -729,3 +729,39 @@ def test_aggregation_matches_dense_oracle(name):
     assert system.matrix.nnz == np.count_nonzero(dense)
     np.testing.assert_array_equal(system.rhs, np.concatenate([b.rhs for b in blocks]))
     assert system.row_meta == [(b.source, kind) for b in blocks for kind in b.row_kinds()]
+
+
+def _row_kinds_by_loop(block) -> list:
+    """Kinds of a block's rows, from a plain walk over its entries."""
+    if block.category != "constraint":
+        return [block.category] * block.rows
+    names = {frozenset("t"): "compat", frozenset("W"): "wrench", frozenset("Wt"): "mixed"}
+    return [names[frozenset(var[0] for start, var, sub in block.entries
+                            if start <= row < start + sub.shape[0])]
+            for row in range(block.rows)]
+
+
+@pytest.mark.parametrize("name", [*AGGREGATION_MODELS, *SINGULAR_MODELS])
+def test_emitted_blocks_are_well_formed(name):
+    """The layout invariants every emitter keeps, checked over every block it
+    yields; the assembler and EquationBlock trust them."""
+    model = {**AGGREGATION_MODELS, **SINGULAR_MODELS}[name]()
+    blocks = assembly._emit_blocks(model)
+    system = assembly._build_system(model, blocks)
+    row = 0
+    for block in blocks:
+        assert block.category in ("link", "constraint", "load"), block.source
+        assert (block.category == "load") == (block.load_node is not None), block.source
+        covered = np.zeros(block.rows, dtype=bool)
+        for start, _, sub in block.entries:
+            assert isinstance(sub, np.ndarray) and sub.dtype == np.float64, block.source
+            assert sub.ndim == 2 and sub.shape[1] == 6, block.source
+            assert np.isfinite(sub).all(), block.source
+            assert 0 <= start and start + sub.shape[0] <= block.rows, block.source
+            covered[start:start + sub.shape[0]] = True
+        assert covered.all(), f"{block.source}: rows without any entry"
+        assert len(block.rhs) == block.rows, block.source
+        kinds = _row_kinds_by_loop(block)
+        assert system.row_meta[row:row + block.rows] == [(block.source, k) for k in kinds]
+        row += block.rows
+    assert row == len(system.row_meta)
