@@ -72,10 +72,13 @@ def _platform_block(model: Model, platform: PlatformSpec) -> EquationBlock:
     return _elements.flexible_platform_equations(zip(platform.stiffnesses, offsets), platform.end)
 
 
-def _connection_block(spec: _joints.JointSpec) -> EquationBlock:
+def _connection_source(spec: _joints.JointSpec) -> str:
     label = "junction" if spec.kind == "junction" else "joint"
-    source = f"{label}<{','.join(map(str, spec.nodes))}>"
-    return _joints.connection_equations(spec.carrier, spec.attachments, source)
+    return f"{label}<{','.join(map(str, spec.nodes))}>"
+
+
+def _connection_block(spec: _joints.JointSpec) -> EquationBlock:
+    return _joints.connection_equations(spec.carrier, spec.attachments, _connection_source(spec))
 
 
 def _support_block(support: SupportSpec) -> EquationBlock:
@@ -204,8 +207,19 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
     )
 
 
+def _system(model: Model) -> GlobalSystem:
+    """The model's one system, kept on the model so that Kc, the loaded solve
+    and the audit share its analysis; records are only appended, so counts date it."""
+    key = (model.end_effector, len(model.positions), len(model.flexible_links),
+           len(model.rigid_links), len(model.platforms), len(model.connections),
+           len(model.supports), len(model.load_points))
+    if model._system is None or model._system[0] != key:
+        model._system = (key, _build_system(model, _emit_blocks(model)))
+    return model._system[1]
+
+
 def assemble(model: Model) -> GlobalSystem:
-    """Validate the model structurally and aggregate its equation blocks.
+    """The model's one system (see `_system`), once it passes the structural gate.
 
     Raises ModelError for dangling nodes, a row/column mismatch (the error
     carries a per-source row breakdown to make miscounts findable), a node
@@ -216,8 +230,7 @@ def assemble(model: Model) -> GlobalSystem:
     """
     if not model.positions:
         raise ModelError("model has no nodes")
-    blocks = _emit_blocks(model)
-    system = _build_system(model, blocks)
+    system = _system(model)
     dangling = [node for node, count in system.connectivity.items() if count == 0]
     if dangling:
         raise ModelError(f"nodes with no equations: {dangling!r}")
@@ -226,20 +239,21 @@ def assemble(model: Model) -> GlobalSystem:
         breakdown = ", ".join(f"{src}: {cnt}" for src, cnt in system.rows_by_source().items())
         raise ModelError(
             f"system is not square: {rows} equations for {cols} unknowns ({breakdown})")
-    first = len(model.flexible_links) + len(model.rigid_links) + len(model.platforms)
     owner: dict = {}
-    for spec, block in zip(model.connections, blocks[first:]):
+    for spec in model.connections:
+        source = _connection_source(spec)
         for node in spec.nodes:
             if node in owner:
                 raise ModelError(
-                    f"node {node!r} belongs to both {owner[node]} and {block.source}; "
+                    f"node {node!r} belongs to both {owner[node]} and {source}; "
                     "join three or more link ends at one point with add_junction")
-            owner[node] = block.source
+            owner[node] = source
     loose = [node for node, count in system.connectivity.items() if count == 1]
     if loose:
         raise ModelError(f"nodes touched by one block only: {loose!r}; "
                          "give each a connection, a support or a load point")
-    link_ends = {var[1] for block in blocks[:first] for _, var, _ in block.entries}
+    link_ends = {node for link in model.flexible_links for node in link.nodes}
+    link_ends.update(*model.rigid_links, *(p.clamps + (p.end,) for p in model.platforms))
     unlinked = [node for node in model.supports if node not in link_ends]
     if unlinked:
         raise ModelError(f"supports on nodes that no link or platform touches: {unlinked!r}; "
@@ -367,11 +381,11 @@ class _Factorization:
     21, 1984): M = [A U; V^T 0]. One solve of k random right-hand sides
     through the tiny pivots is a step of inverse iteration towards the null
     vectors of A and A^T; unit borders go where those peak, so M keeps A's
-    sparsity. Should M still not factor cleanly, random dense borders take
-    their place, k growing until it does. The trailing k x k block T of M^-1
-    is singular exactly where A is, and its null vectors map to orthonormal
-    bases of null(A) and null(A^T). Solves then return the minimum-norm
-    least-squares solution from the same LU.
+    sparsity; while a surplus border leaves M singular, the last peak is
+    dropped. The trailing k x k block T of M^-1 is singular exactly where A
+    is, and its null vectors map to orthonormal bases of null(A) and
+    null(A^T). Solves then return the minimum-norm least-squares solution
+    from the same LU.
     """
 
     def __init__(self, A: scipy.sparse.csr_matrix):
@@ -396,27 +410,19 @@ class _Factorization:
         A, n, lu = self._A, self.n, self._lu
         if lu is None:   # an exactly zero pivot: a tiny shift exposes it
             lu, k = _lu((A + PIVOT_SHIFT * scipy.sparse.eye(n, format="csc")).tocsc())
-        k = max(k, 1)
-        rng = np.random.default_rng(BORDER_SEED)
-        at_peaks = lu is not None
-        while True:
-            if at_peaks:
-                R = rng.standard_normal((n, k))
-                U, V = (scipy.sparse.csc_matrix((np.ones(k), (_peaks(Y), np.arange(k))),
-                                                shape=(n, k))
-                        for Y in (lu.solve(R, trans="T"), lu.solve(R)))
-            else:
-                U, V = (scipy.sparse.csc_matrix(np.linalg.qr(rng.standard_normal((n, k)))[0])
-                        for _ in range(2))
+        if lu is None:
+            raise ModelError("the bordered LU of a singular block did not factor")
+        R = np.random.default_rng(BORDER_SEED).standard_normal((n, max(k, 1)))
+        rows, cols = _peaks(lu.solve(R, trans="T")), _peaks(lu.solve(R))
+        for k in range(len(rows), 0, -1):
+            U, V = (scipy.sparse.csc_matrix((np.ones(k), (peaks[:k], np.arange(k))), shape=(n, k))
+                    for peaks in (rows, cols))
             M = scipy.sparse.bmat([[A, U], [V.T, None]], format="csc")
             lu, tiny = _lu(M)
             if lu is not None and tiny == 0:
                 break
-            if not at_peaks:
-                if k == n:
-                    raise ModelError("the bordered LU of a singular block did not factor")
-                k = min(n, k + max(tiny, 1))
-            at_peaks = False
+        else:
+            raise ModelError("the bordered LU of a singular block did not factor")
         self._lu, self._M = lu, M
         E = np.zeros((n + k, k))
         E[n:] = np.eye(k)
@@ -711,9 +717,11 @@ class ModelReport:
 
 
 def _square(system: GlobalSystem) -> GlobalSystem:
-    """The system padded to square with zero rows or columns at the end; the
-    rank is unchanged."""
+    """The system itself when square, else padded to square with zero rows or
+    columns at the end; the rank is unchanged."""
     M = system.matrix
+    if M.shape[0] == M.shape[1]:
+        return system
     size, pad = max(M.shape), max(M.shape) - M.shape[0]
     indptr = np.concatenate([M.indptr, np.full(pad, M.indptr[-1])])
     matrix = scipy.sparse.csr_matrix((M.data, M.indices, indptr), shape=(size, size))
@@ -734,9 +742,9 @@ def _mechanism_nodes(system: GlobalSystem, null: np.ndarray, cols: np.ndarray) -
 def check_model(model: Model) -> ModelReport:
     """Audit a model without requiring it to be solvable.
 
-    The audit reads the same analysis, and so the same factorization, that
-    serves Kc and the loaded solve; non-square systems are first padded to
-    square with zero rows or columns. The rank of the whole system is the
+    The audit reads the model's one system and so the analysis that serves
+    Kc and the loaded solve; a non-square system is first padded to square
+    with zero rows or columns. The rank of the whole system is the
     analysis's rank (see `_Analysis`). The null space of the internal block
     (the structure with the end effector held; the whole matrix for models
     with no end effector) splits into mechanisms, the rank of its deflection
@@ -744,7 +752,7 @@ def check_model(model: Model) -> ModelReport:
     and only leave reactions indeterminate. A direction counts as moving
     when more than MECHANISM_SHARE of its squared norm lies on deflections.
     """
-    system = _build_system(model, _emit_blocks(model))
+    system = _system(model)
     rows, unknowns = system.shape
     dangling = [node for node, count in system.connectivity.items() if count == 0]
 

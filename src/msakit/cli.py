@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -104,38 +104,34 @@ def _cmd_check(args) -> int:
     return 0 if report.well_posed else 1
 
 
-def _navaro_params(path: str | None) -> tuple:
-    """Params file handling; motor stiffness may be a sweep list."""
+def _navaro_params(path: str | None) -> list:
+    """Parameter sets from the params file, one per motor stiffness of a sweep."""
     if path is None:
-        return reference.NavaroParams(), [None]
+        return [reference.NavaroParams()]
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ModelError("params file must hold a JSON object")
-    sweep = data.pop("motor_stiffness", None)
-    known = {f.name for f in reference.NavaroParams.__dataclass_fields__.values()}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(reference.NavaroParams)}
     if unknown:
         raise ModelError(f"unknown NaVaRo parameters: {sorted(unknown)}")
-    base = reference.NavaroParams(**data)
-    if sweep is None:
-        return base, [None]
-    if isinstance(sweep, (int, float)):
-        sweep = [float(sweep)]
-    return base, [float(k) for k in sweep]
+    sweep = data.pop("motor_stiffness", reference.NavaroParams.motor_stiffness)
+    sweep = sweep if isinstance(sweep, list) else [sweep]
+    if not sweep:
+        raise ModelError("NaVaRo parameter motor_stiffness: the sweep list is empty")
+    return [reference.NavaroParams(**data, motor_stiffness=k) for k in sweep]
 
 
 def _cmd_navaro(args) -> int:
-    base, sweep = _navaro_params(args.params)
+    sweep = _navaro_params(args.params)
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    leg_system = assembly.assemble(reference.build_navaro_leg(base))
+    leg_system = assembly.assemble(reference.build_navaro_leg(sweep[0]))
     leg_audit = {
         "equations": leg_system.shape[0],
         "unknowns": leg_system.shape[1],
         "blocks": leg_system.block_row_counts(),
     }
-    for idx, ke in enumerate(sweep):
-        params = base if ke is None else replace(base, motor_stiffness=ke)
+    for idx, params in enumerate(sweep):
         if args.leg_only:
             model = reference.build_navaro_leg(params)
         else:
@@ -148,7 +144,7 @@ def _cmd_navaro(args) -> int:
         model_path.write_text(serialize_model(doc) + "\n")
         payload = _analysis_payload(model, {})
         payload["leg_audit"] = leg_audit
-        payload["motor_stiffness"] = params.motor_stiffness
+        payload["motor_stiffness"] = float(params.motor_stiffness)
         result_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {model_path} and {result_path}")
     return 0

@@ -50,7 +50,7 @@ class Model:
 
     Nodes carry positions; links, platforms, joints, supports and load points
     reference them by id. Insertion order is preserved so assembled systems
-    are reproducible.
+    are reproducible. Records change only through `add_*`, which appends.
     """
 
     def __init__(self):
@@ -63,6 +63,7 @@ class Model:
         self.load_points: dict = {}          # end node -> tuple of incident nodes
         self.end_effector: Hashable | None = None
         self._extent = 1.0                   # max(1, largest |coordinate| of any node)
+        self._system = None                  # (record counts, system) of assembly._system
 
     # -- nodes ----------------------------------------------------------
 

@@ -11,7 +11,8 @@ topology itself is the modeled structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Hashable
 
 import numpy as np
@@ -55,6 +56,12 @@ class NavaroParams:
     motor_stiffness: float = 1e4     # transmission stiffness (N*m/rad)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ModelError(f"NaVaRo parameter {f.name} must be a finite number, "
+                                 f"not {value!r}")
         for name in ("crank_length", "coupler_length", "extension_length",
                      "platform_radius", "E", "G", "tube_outer", "tube_wall",
                      "motor_stiffness"):

@@ -17,8 +17,9 @@ from helpers import (cantilever, dense_audit, entries_dense, flexible_platform_m
 RZ = msakit.joint_basis_preset("revolute_z")
 
 
-def duplicated_joint():
-    """Two beams joined twice at one point: twelve surplus rows."""
+def duplicated_joint(audit_between=False):
+    """Two beams joined twice at one point: twelve surplus rows. With
+    `audit_between` the model is audited just before the second joint."""
     m = msakit.Model()
     m.add_node("a", [0, 0, 0])
     m.add_node("b", [0.5, 0, 0])
@@ -27,9 +28,11 @@ def duplicated_joint():
     m.add_beam("a", "b", **section_kwargs())
     m.add_beam("c", "d", **section_kwargs())
     m.add_joint("rigid", ("b", "c"))
-    m.add_joint("rigid", ("b", "c"))
     m.add_support("a", "rigid")
     m.set_end_effector("d")
+    if audit_between:
+        m.check()
+    m.add_joint("rigid", ("b", "c"))
     return m
 
 
@@ -128,14 +131,19 @@ class TestAssemble:
         assert system.rows_by_source() == {"link(a,b)": 12, "support@a": 6, "load@b": 6}
 
     def test_dangling_node_rejected(self):
-        model, _ = cantilever()
-        model.add_node("ghost", [5.0, 5.0, 5.0])
-        with pytest.raises(msakit.ModelError, match="ghost"):
-            model.assemble()
+        for analysed_before in (False, True):
+            model, _ = cantilever()
+            if analysed_before:         # the system kept from then must not be reused
+                model.check()
+                model.cartesian_stiffness()
+            model.add_node("ghost", [5.0, 5.0, 5.0])
+            with pytest.raises(msakit.ModelError, match="ghost"):
+                model.assemble()
 
     def test_non_square_rejected_with_breakdown(self):
-        with pytest.raises(msakit.ModelError, match="not square"):
-            duplicated_joint().assemble()
+        for audit_between in (False, True):
+            with pytest.raises(msakit.ModelError, match="not square"):
+                duplicated_joint(audit_between).assemble()
 
     def test_node_claimed_by_two_connections_rejected(self):
         # A pinned branch e-f hung from node b, which the weld b-c already
@@ -544,15 +552,15 @@ class TestSolveLoaded:
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """The shapes of the blocks that `_Factorization` is built on, in order."""
-    init, shapes = assembly._Factorization.__init__, []
+    """Every `_Factorization` built, in order."""
+    init, built = assembly._Factorization.__init__, []
 
-    def counting_init(self, A):
-        shapes.append(A.shape)
+    def recording_init(self, A):
         init(self, A)
+        built.append(self)
 
-    monkeypatch.setattr(assembly._Factorization, "__init__", counting_init)
-    return shapes
+    monkeypatch.setattr(assembly._Factorization, "__init__", recording_init)
+    return built
 
 
 class TestSharedFactorization:
@@ -585,6 +593,26 @@ class TestSharedFactorization:
     ], ids=["navaro", "pendulum chain", "duplicated joint", "pendulum chain, no end effector"])
     def test_audit_builds_one_factorization(self, build, factorizations):
         build().check()
+        assert len(factorizations) == 1
+
+    @pytest.mark.parametrize("build", [msakit.build_navaro, lambda: pendulum_chain(2)],
+                             ids=["navaro", "pendulum chain"])
+    def test_assemble_stiffness_solve_and_audit_build_one_factorization(self, build,
+                                                                        factorizations):
+        model = build()
+        system = msakit.assemble(model)
+        msakit.cartesian_stiffness(system)
+        msakit.solve_loaded(system, [0.0, 0.0, 10.0, 0.0, 0.0, 1.0])
+        msakit.check_model(model)
+        assert len(factorizations) == 1
+
+    @pytest.mark.parametrize("build", [msakit.build_navaro, lambda: pendulum_chain(2)],
+                             ids=["navaro", "pendulum chain"])
+    def test_model_conveniences_build_one_factorization(self, build, factorizations):
+        model = build()
+        model.cartesian_stiffness()
+        model.solve([0.0, 0.0, 10.0, 0.0, 0.0, 1.0])
+        model.check()
         assert len(factorizations) == 1
 
 
@@ -679,6 +707,20 @@ def test_bordered_solve_matches_dense_svd_oracle(name):
         oracle["a_rank"], oracle["locked"], oracle["infinite"])
     if not diag.infinite:
         assert rel_fro(result.kc, oracle["kc"]) <= 1e-8
+
+
+@pytest.mark.parametrize("name", SINGULAR_MODELS)
+def test_bordered_blocks_have_unit_borders(name, factorizations):
+    """Each border row and column of M = [A U; V^T 0] has one entry, equal
+    to 1, so M keeps A's sparsity."""
+    SINGULAR_MODELS[name]().check()
+    assert [fac.pseudo_inverse for fac in factorizations] == [True]
+    fac = factorizations[0]
+    n, M = fac.n, fac._M.toarray()
+    assert not M[n:, n:].any()
+    for border in (M[:n, n:], M[n:, :n].T):
+        assert (np.count_nonzero(border, axis=0) == 1).all()
+        assert (border[border != 0.0] == 1.0).all()
 
 
 @pytest.mark.parametrize("name", [*SINGULAR_MODELS, "pinned beam"])

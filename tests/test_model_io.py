@@ -407,6 +407,20 @@ class TestCli:
         assert main(["navaro", "--params", str(params)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "model"
 
+    @pytest.mark.parametrize("params", [
+        {"crank_length": "long"}, {"coupler_angle": None}, {"motor_stiffness": []},
+        {"crank_length": True}, {"motor_stiffness": [5e3, True]},
+        {"coupler_angle": float("inf")},
+    ], ids=["string", "null", "empty sweep", "bool", "bool in sweep", "infinite"])
+    def test_navaro_bad_param_values(self, tmp_path, capsys, params):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        assert main(["navaro", "--params", str(path), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        error = json.loads(captured.err)
+        assert error["error"] == "model" and next(iter(params)) in error["detail"]
+
     def test_malformed_load_option(self, tmp_path, capsys):
         path = self._write(tmp_path, cantilever_doc())
         assert main(["analyze", path, "--load", "1,2,3"]) == 1

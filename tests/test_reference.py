@@ -118,7 +118,8 @@ class TestManipulatorBuilder:
             stiff[clamp] = msakit.beam_stiffness(section).with_nodes(clamp, platform.end)
         soft.add_flexible_platform(stiff, platform.end)
         kc_soft = soft.cartesian_stiffness().kc
-        assert rel_fro(kc_soft, kc_rigid) <= 1e-3
+        # Close, but not the rigid platform's Kc: the copy has its own system.
+        assert 1e-6 < rel_fro(kc_soft, kc_rigid) <= 1e-3
 
     def test_external_work_equals_stored_energy(self):
         # Independent physics check: work done through the platform must equal
