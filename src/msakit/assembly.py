@@ -11,7 +11,10 @@ not depend on units. Results are reported in physical units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import collections
+import functools
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -25,7 +28,7 @@ from . import joints as _joints
 from .core import Wrench, _as_vector
 from .equations import EquationBlock, layout
 from .errors import ModelError
-from .model import Model, PlatformSpec, SupportSpec
+from .model import Model
 
 # LU pivot ratio below which a block counts as singular and is bordered; also
 # the null-space cutoff of the border block (rows are equilibrated to 1).
@@ -46,44 +49,51 @@ RESIDUAL_RTOL = 1e-9
 
 
 def _emit_blocks(model: Model) -> list:
-    """All equation blocks of a model, in the canonical row order."""
+    """All equation blocks of a model, one per family of records that share
+    a row layout, each record indexed by its place in the canonical row
+    order: links, rigid links, platforms, connections, supports, loads."""
+    P, E, B = model.positions, _elements, _boundary
+
+    def offsets(pairs):
+        return np.array([P[j] - P[i] for i, j in pairs])
+
+    def platforms(group):
+        emit = (E.rigid_platform_equations if group[0].kind == "rigid"
+                else E.flexible_platform_equations)
+        return emit([list(zip(p.stiffnesses or p.clamps, [P[p.end] - P[c] for c in p.clamps]))
+                     for p in group], [p.end for p in group])
+
+    families = (  # records, the layout of a record (p = 6 - r), the family's emitter
+        (model.flexible_links, None,
+         lambda g: E.flexible_link_equations(g, offsets([link.nodes for link in g]))),
+        (model.rigid_links, None, lambda g: E.rigid_link_equations(offsets(g), g)),
+        (model.platforms, lambda p: (p.kind, len(p.clamps)), platforms),
+        (model.connections,
+         lambda c: (len(c.carrier), tuple((b.r, k is None) for _, b, k in c.attachments)),
+         lambda g: _joints.connection_equations([c.carrier for c in g], [c.attachments for c in g],
+                                                [_connection_source(c) for c in g])),
+        (list(model.supports.values()), lambda s: (s.kind, s.basis and s.basis.r),
+         lambda g: B.support_equations([s.node for s in g], [s.basis or B.CLAMP for s in g],
+                                       [s.stiffness for s in g])),
+        (list(model.load_points.items()), lambda item: len(item[1]),
+         lambda g: B.external_load_equations([nodes for _, nodes in g], [end for end, _ in g])),
+    )
     blocks: list[EquationBlock] = []
-    P = model.positions
-    for link in model.flexible_links:
-        i, j = link.nodes
-        blocks.append(_elements.flexible_link_equations(link, P[j] - P[i]))
-    for i, j in model.rigid_links:
-        blocks.append(_elements.rigid_link_equations(P[j] - P[i], (i, j)))
-    for platform in model.platforms:
-        blocks.append(_platform_block(model, platform))
-    for spec in model.connections:
-        blocks.append(_connection_block(spec))
-    for support in model.supports.values():
-        blocks.append(_support_block(support))
-    for end, incident in model.load_points.items():
-        blocks.append(_boundary.external_load_equations(incident, end))
+    start = 0                                  # catalogue position of the next records
+    for records, key, emit in families:
+        groups: dict = {}
+        for k, record in enumerate(records):
+            groups.setdefault(key and key(record), []).append(k)
+        for members in groups.values():
+            blocks.append(emit([records[k] for k in members]))
+            blocks[-1].index = start + np.array(members)
+        start += len(records)
     return blocks
-
-
-def _platform_block(model: Model, platform: PlatformSpec) -> EquationBlock:
-    offsets = [model.positions[platform.end] - model.positions[c] for c in platform.clamps]
-    if platform.kind == "rigid":
-        return _elements.rigid_platform_equations(zip(platform.clamps, offsets), platform.end)
-    return _elements.flexible_platform_equations(zip(platform.stiffnesses, offsets), platform.end)
 
 
 def _connection_source(spec: _joints.JointSpec) -> str:
     label = "junction" if spec.kind == "junction" else "joint"
     return f"{label}<{','.join(map(str, spec.nodes))}>"
-
-
-def _connection_block(spec: _joints.JointSpec) -> EquationBlock:
-    return _joints.connection_equations(spec.carrier, spec.attachments, _connection_source(spec))
-
-
-def _support_block(support: SupportSpec) -> EquationBlock:
-    return _boundary.support_equations(support.node, support.basis or _boundary.CLAMP,
-                                       support.stiffness)
 
 
 @dataclass(eq=False)
@@ -99,15 +109,24 @@ class GlobalSystem:
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     load_rows: dict                  # load node -> ndarray of 6 row indices
-    row_meta: list                   # (source, kind) per row
     support_nodes: tuple
     end_effector: Hashable | None
     col_scale: np.ndarray            # factor per column of the factored system
-    connectivity: dict               # node -> number of blocks that touch it
+    connectivity: dict               # node -> number of records that touch it
+    _rows: list = field(repr=False)  # (sources, first rows, row kinds) per block
 
     def __post_init__(self):
         self._index = {node: k for k, node in enumerate(self.nodes)}
         self._analyses: dict = {}
+
+    @functools.cached_property
+    def row_meta(self) -> list:
+        """(source, kind) per row, built on first read."""
+        meta: list = [None] * self.matrix.shape[0]
+        for sources, base, kinds in self._rows:
+            for source, first in zip(sources, base.tolist()):
+                meta[first:first + len(kinds)] = [(source, kind) for kind in kinds]
+        return meta
 
     @property
     def n_nodes(self) -> int:
@@ -128,16 +147,11 @@ class GlobalSystem:
 
     def block_row_counts(self) -> dict:
         """Rows per class: link, compat, wrench, mixed, load."""
-        counts = {"link": 0, "compat": 0, "wrench": 0, "mixed": 0, "load": 0}
-        for _, kind in self.row_meta:
-            counts[kind] += 1
-        return counts
+        counts = collections.Counter(kind for _, kind in self.row_meta)
+        return {kind: counts[kind] for kind in ("link", "compat", "wrench", "mixed", "load")}
 
     def rows_by_source(self) -> dict:
-        out: dict = {}
-        for source, _ in self.row_meta:
-            out[source] = out.get(source, 0) + 1
-        return out
+        return dict(collections.Counter(source for source, _ in self.row_meta))
 
 
 def _link_length(model: Model) -> float:
@@ -150,72 +164,68 @@ def _link_length(model: Model) -> float:
 
 
 def _build_system(model: Model, blocks: list) -> GlobalSystem:
-    """Aggregate the blocks, laid out in one pass over stacked arrays."""
+    """Aggregate the blocks, laid out in one step per family."""
     nodes = list(model.positions.keys())
     n = len(nodes)
-    col_of = {(kind, node): base + 6 * k for kind, base in (("W", 0), ("t", 6 * n))
-              for k, node in enumerate(nodes)}
     try:
-        rows, cols, values, entry_block, entry_col, kinds = layout(blocks, col_of)
+        rows, cols, values, bases = layout(blocks, {node: k for k, node in enumerate(nodes)})
     except KeyError as exc:
-        var = exc.args[0]
-        source = next(b.source for b in blocks if var in b.variables)
-        raise ModelError(f"{source}: unknown node id {var[1]!r}") from None
-
-    block_rows = np.array([b.rows for b in blocks], dtype=np.intp)
-    row_base = np.cumsum(block_rows) - block_rows
-    n_rows = int(block_rows.sum())
+        node, = exc.args
+        source = next(s for b in blocks for s, record in zip(b.sources, b.nodes) if node in record)
+        raise ModelError(f"{source}: unknown node id {node!r}") from None
+    n_rows = sum(len(b.nodes) * b.rows for b in blocks)
 
     # Moment and translation columns times a length; deflection columns over
     # the largest link entry in newtons (link moment rows over the length),
     # since joint springs may be orders of magnitude away by design.
     ell = _link_length(model)
+    scale = np.array([ell, ell, ell, 1.0, 1.0, 1.0])
+    rhs, first, peak, link_peak = np.zeros(n_rows), {}, 0.0, 0.0
+    for block, base in zip(blocks, bases):
+        rhs[(base[:, None] + np.arange(block.rows)).ravel()] = block.rhs.ravel()
+        first.update(zip(block.load_nodes or (), base.tolist()))
+        for row, kind, _, sub in block.entries:
+            if kind == "t":
+                value = np.abs(sub) * scale
+                peak = max(peak, value.max())
+                if block.category == "link":
+                    moment = np.arange(row, row + sub.shape[-2])[:, None] % 6 >= 3
+                    link_peak = max(link_peak, np.where(moment, value / ell, value).max())
     col_scale = np.ones((2, n, 2, 3))            # (W or t, node, first or last three)
     col_scale[0, :, 1] = col_scale[1, :, 0] = ell
     col_scale = col_scale.reshape(-1)
-    deflection = cols >= 6 * n
-    peak = np.abs(values * col_scale[cols])[deflection]
-    d_rows = rows[deflection]
-    in_link = np.repeat(np.array([b.category == "link" for b in blocks], dtype=bool),
-                        block_rows)[d_rows]
-    local_row = np.arange(n_rows) - np.repeat(row_base, block_rows)
-    moment_row = local_row[d_rows][in_link] % 6 >= 3
-    link_peak = np.where(moment_row, peak[in_link] / ell, peak[in_link]).max(initial=0.0)
-    col_scale[6 * n:] /= max(float(link_peak) or float(peak.max(initial=0.0)), 1.0)
-
-    # Blocks touching each node, each block counted once per node.
-    touched = np.unique(entry_block * n + entry_col // 6 % n)
-    counts = np.bincount(touched % n, minlength=n)
+    col_scale[6 * n:] /= max(float(link_peak or peak), 1.0)
 
     keep = values != 0.0
     matrix = scipy.sparse.coo_matrix(
         (values[keep], (rows[keep], cols[keep])), shape=(n_rows, 12 * n)
     ).tocsr()
-    load_rows = {b.load_node: np.arange(base, base + b.rows)
-                 for b, base in zip(blocks, row_base.tolist()) if b.category == "load"}
+    touched = collections.Counter(chain.from_iterable(chain.from_iterable(b.nodes for b in blocks)))
     return GlobalSystem(
         nodes=nodes,
         positions=dict(model.positions),
         matrix=matrix,
-        rhs=np.concatenate([b.rhs for b in blocks] or [np.zeros(0)]),
-        load_rows=load_rows,
-        row_meta=list(zip((b.source for b in blocks for _ in range(b.rows)), kinds)),
+        rhs=rhs,
+        load_rows={node: first[node] + np.arange(6) for node in model.load_points},
         support_nodes=tuple(model.supports.keys()),
         end_effector=model.end_effector,
         col_scale=col_scale,
-        connectivity=dict(zip(nodes, counts.tolist())),
+        connectivity={node: touched[node] for node in nodes},   # a record's nodes are distinct
+        _rows=[(b.sources, base, b.row_kinds()) for b, base in zip(blocks, bases)],
     )
 
 
-def _system(model: Model) -> GlobalSystem:
-    """The model's one system, kept on the model so that Kc, the loaded solve
-    and the audit share its analysis; records are only appended, so counts date it."""
+def _system(model: Model, square: bool = False) -> GlobalSystem:
+    """The model's one system, or with `square` that system padded to square
+    (see `_square`), kept on the model so that Kc, the loaded solve and the
+    audit share their analyses; records are only appended, so counts date it."""
     key = (model.end_effector, len(model.positions), len(model.flexible_links),
            len(model.rigid_links), len(model.platforms), len(model.connections),
            len(model.supports), len(model.load_points))
     if model._system is None or model._system[0] != key:
-        model._system = (key, _build_system(model, _emit_blocks(model)))
-    return model._system[1]
+        system = _build_system(model, _emit_blocks(model))
+        model._system = (key, system, _square(system))
+    return model._system[2 if square else 1]
 
 
 def assemble(model: Model) -> GlobalSystem:
@@ -760,7 +770,7 @@ def check_model(model: Model) -> ModelReport:
     mechanisms = unknowns
     mechanism_nodes: list = []
     if rows and unknowns:
-        analysis = _analysis(_square(system), system.end_effector)
+        analysis = _analysis(_system(model, square=True), system.end_effector)
         rank, fac = analysis.rank, analysis.fac
         cols = analysis.parts.col_perm[:fac.n]
         real = cols < unknowns               # padding columns carry no unknown

@@ -17,8 +17,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import JointBasis, JointStiffness, Wrench, shift_wrench
-from .equations import EYE6, EquationBlock, deflection_var, wrench_var
+from .core import JointBasis, Wrench, shift_wrench
+from .equations import EYE6, EquationBlock
 from .errors import ModelError
 
 SUPPORT_KINDS = ("rigid", "passive", "elastic")
@@ -27,36 +27,33 @@ SUPPORT_KINDS = ("rigid", "passive", "elastic")
 CLAMP = JointBasis(EYE6, np.zeros((0, 6)))
 
 
-def support_equations(node: Hashable, basis: JointBasis,
-                      stiffness: JointStiffness | None) -> EquationBlock:
-    """Lr dt_j = 0 along the rigid directions, and Lf W_j + Ke Lf dt_j = Lf W0
-    along the free ones (no Ke term when `stiffness` is None)."""
-    r, lf = basis.r, basis.lambda_free
-    entries = [(0, deflection_var(node), basis.lambda_rigid)] if r else []
-    rhs = np.zeros(6)
-    if basis.p:
-        if stiffness is not None:
-            entries.append((r, deflection_var(node), stiffness.matrix @ lf))
-            if stiffness.preload is not None:
-                rhs[r:] = lf @ stiffness.preload
-        entries.append((r, wrench_var(node), lf))
-    return EquationBlock(source=f"support@{node}", rows=6, entries=entries, rhs=rhs)
+def support_equations(nodes: Sequence[Hashable], bases: Sequence[JointBasis],
+                      stiffnesses: Sequence) -> EquationBlock:
+    """Supports that share one (r, p, spring or pin) layout: Lr dt_j = 0
+    along the rigid directions, and Lf W_j + Ke Lf dt_j = Lf W0 along the
+    free ones (no Ke term where the stiffness is None)."""
+    r, rhs = bases[0].r, np.zeros((len(nodes), 6))
+    entries = [(0, "t", 0, np.stack([basis.lambda_rigid for basis in bases]))] if r else []
+    if bases[0].p:
+        lf = np.stack([basis.lambda_free for basis in bases])
+        if stiffnesses[0] is not None:
+            entries.append((r, "t", 0, np.stack([s.matrix for s in stiffnesses]) @ lf))
+            for k, (basis, stiffness) in enumerate(zip(bases, stiffnesses)):
+                if stiffness.preload is not None:
+                    rhs[k, r:] = basis.lambda_free @ stiffness.preload
+        entries.append((r, "W", 0, lf))
+    return EquationBlock([f"support@{node}" for node in nodes], 6,
+                         [(node,) for node in nodes], entries, rhs)
 
 
-def external_load_equations(nodes: Sequence[Hashable], end_node: Hashable) -> EquationBlock:
-    """Equilibrium of a loaded junction: incident wrenches sum to the applied wrench.
-
-    The right-hand side is the external wrench slot keyed by `end_node`,
-    bound to an actual value at solve time (zero when unloaded).
-    """
-    entries = [(0, wrench_var(node), EYE6) for node in nodes]
-    return EquationBlock(
-        source=f"load@{end_node}",
-        rows=6,
-        entries=entries,
-        category="load",
-        load_node=end_node,
-    )
+def external_load_equations(nodes: Sequence[Sequence[Hashable]],
+                            end_nodes: Sequence[Hashable]) -> EquationBlock:
+    """Equilibrium of loaded junctions with one number of incident nodes: the
+    wrenches at `nodes[k]` sum to the wrench applied at `end_nodes[k]`, a
+    right-hand side bound at solve time (zero when unloaded)."""
+    return EquationBlock([f"load@{end}" for end in end_nodes], 6, [tuple(n) for n in nodes],
+                         [(0, "W", s, EYE6) for s in range(len(nodes[0]))],
+                         category="load", load_nodes=list(end_nodes))
 
 
 def support_reaction(state, node: Hashable) -> Wrench:

@@ -5,6 +5,7 @@ All 6-vectors are ordered (translation; rotation) for deflections and
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 import numpy as np
 
@@ -61,8 +62,10 @@ def is_rotation(R, tol: float = ROTATION_TOL) -> bool:
 
 def block_rotation(R, copies: int = 2) -> np.ndarray:
     """Block-diagonal stack of `copies` copies of the 3x3 rotation R."""
-    R = np.asarray(R, dtype=float)
-    return np.kron(np.eye(copies), R)
+    Q = np.zeros((3 * copies, 3 * copies))
+    for k in range(0, 3 * copies, 3):
+        Q[k:k + 3, k:k + 3] = R
+    return Q
 
 
 def shift_wrench(w, r) -> np.ndarray:
@@ -128,10 +131,16 @@ def transport_matrix(d) -> np.ndarray:
     (first point to second). Applied to a deflection at the first point it
     yields the deflection the second point inherits; its transpose
     propagates wrenches the other way."""
-    x, y, z = _as_vector(d, 3, "d").tolist()
-    return np.array([[1.0, 0.0, 0.0, 0.0, z, -y], [0.0, 1.0, 0.0, -z, 0.0, x],
-                     [0.0, 0.0, 1.0, y, -x, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    return _transports(_as_vector(d, 3, "d"))[0]
+
+
+def _transports(d) -> np.ndarray:
+    """The (m, 6, 6) stack of `transport_matrix` for an (m, 3) array of offsets."""
+    d = np.asarray(d, dtype=float).reshape(-1, 3)
+    D = np.zeros((len(d), 36))
+    D[:, ::7] = 1.0
+    D[:, [4, 5, 9, 11, 15, 16]] = d[:, [2, 1, 2, 0, 1, 0]] * [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
+    return D.reshape(-1, 6, 6)
 
 
 def rotate_link_stiffness(K, R) -> np.ndarray:
@@ -150,10 +159,9 @@ def rotate_link_stiffness(K, R) -> np.ndarray:
 
 
 def _rotate_blocks(K: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Q K Q^T for Q = blockdiag(R, ..., R), one 3x3 block R K_ab R^T at a time."""
-    m = K.shape[0] // 3
-    blocks = K.reshape(m, 3, m, 3).swapaxes(1, 2)
-    return (R @ blocks @ R.T).swapaxes(1, 2).reshape(K.shape)
+    """Q K Q^T for Q = blockdiag(R, ..., R), as one block-diagonal product."""
+    Q = block_rotation(R, K.shape[0] // 3)
+    return Q @ K @ Q.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +228,10 @@ _PRESET_FREE_AXES = {
 JOINT_BASIS_PRESETS = tuple(_PRESET_FREE_AXES)
 
 
+@functools.cache
 def joint_basis_preset(name: str) -> JointBasis:
-    """Named lower-pair bases: revolute_*, prismatic_*, spherical, universal, free."""
+    """Named lower-pair bases: revolute_*, prismatic_*, spherical, universal,
+    free; each is built once and shared, as a basis is read-only."""
     if name not in _PRESET_FREE_AXES:
         raise ModelError(f"unknown joint basis preset {name!r}")
     free = _PRESET_FREE_AXES[name]
@@ -249,10 +259,10 @@ class JointStiffness:
             raise ModelError(f"joint stiffness must be e x e with 1 <= e <= 6, got {Ke.shape}")
         if not np.isfinite(Ke).all():
             raise ModelError("joint stiffness matrix has non-finite entries")
-        scale = max(np.max(np.abs(Ke)), 1.0)
-        if np.max(np.abs(Ke - Ke.T)) > 1e-12 * scale:
+        # A 1x1 spring is symmetric, and definite when its one entry is positive.
+        if Ke.shape[0] > 1 and abs(Ke - Ke.T).max() > 1e-12 * max(abs(Ke).max(), 1.0):
             raise ModelError("joint stiffness matrix must be symmetric to 1e-12")
-        if np.min(np.linalg.eigvalsh(Ke)) <= 0.0:
+        if not (Ke[0, 0] > 0.0 if Ke.shape[0] == 1 else np.linalg.eigvalsh(Ke)[0] > 0.0):
             raise ModelError("joint stiffness matrix must be positive definite")
         object.__setattr__(self, "matrix", _freeze(Ke))
         if self.preload is not None:

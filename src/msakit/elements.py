@@ -1,12 +1,12 @@
 """Element models: flexible links, rigid links, and rigid/flexible platforms.
 
-Each emitter returns an EquationBlock over the wrench and deflection
-unknowns of the touched nodes. Every element states its equilibrium
-exactly, W_i + D^T W_j = 0 with D the transport operator (about the end
-point, for a platform); flexible elements add stiffness rows -W + K dt = 0,
-rigid ones transported compatibility. The model builder checks each element
-once, a flexible one for being a free body about its node positions, and
-binds every flexible link to its node pair; the emitters raise nothing.
+Each emitter turns a family of elements of one kind and layout into one
+EquationBlock. Every element states its equilibrium exactly, W_i + D^T W_j
+= 0 with D the transport operator (about the end point, for a platform);
+flexible elements add stiffness rows -W + K dt = 0, rigid ones transported
+compatibility. The model builder checks each element once, a flexible one
+for being a free body about its node positions, and binds every flexible
+link to its node pair; the emitters raise nothing.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import _as_vector, _freeze, _rotate_blocks, transport_matrix
-from .equations import EYE6, NEG_EYE6, EquationBlock, deflection_var, wrench_var
+from .core import _as_vector, _freeze, _rotate_blocks, _transports
+from .equations import EYE6, NEG_EYE6, EquationBlock
 from .errors import ModelError
 
 # Relative symmetry tolerance for user-supplied 12x12 matrices (CAD-extracted
@@ -39,10 +39,7 @@ class BeamSection:
     axis: np.ndarray  # unit vector from first to second node
 
     def __post_init__(self):
-        for name in ("E", "G", "A", "L", "Iy", "Iz", "J"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ModelError(f"beam section {name} must be positive, got {value}")
+        _check_section(E=self.E, G=self.G, A=self.A, L=self.L, Iy=self.Iy, Iz=self.Iz, J=self.J)
         axis = _as_vector(self.axis, 3, "axis")
         n = np.linalg.norm(axis)
         if abs(n - 1.0) > 1e-6:
@@ -61,7 +58,7 @@ class LinkStiffness:
         K = np.asarray(self.K, dtype=float)
         if K.shape != (12, 12):
             raise ModelError(f"link stiffness must be 12x12, got {K.shape}")
-        if not np.all(np.isfinite(K)):
+        if not np.isfinite(K).all():
             raise ModelError("link stiffness has non-finite entries")
         object.__setattr__(self, "K", _freeze(K))
         if self.nodes is not None:
@@ -141,113 +138,87 @@ def _local_beam_matrix(E, G, A, L, Iy, Iz, J) -> np.ndarray:
     return k
 
 
-def beam_frame(axis) -> np.ndarray:
-    """Right-handed local frame with x along `axis` (columns are local axes)."""
-    x = _as_vector(axis, 3, "axis")
-    a, b, c = (x / math.sqrt(x.dot(x))).tolist()
-    # y = ref x axis with ref = z, or y when the axis is nearly along z.
-    y = np.array([-b, a, 0.0] if abs(c) <= 1.0 - 1e-9 else [c, 0.0, -a])
-    ya, yb, yc = (y / math.sqrt(y.dot(y))).tolist()
-    return np.array([[a, ya, b * yc - c * yb],
-                     [b, yb, c * ya - a * yc],
-                     [c, yc, a * yb - b * ya]])
+def _check_section(**values) -> None:
+    """Each beam section value must be finite and positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ModelError(f"beam section {name} must be positive, got {value}")
+
+
+def _beam_matrix(E, G, A, L, Iy, Iz, J, axis) -> np.ndarray:
+    """Global-frame 12x12 matrix of a uniform beam along `axis`, for a
+    checked section: the local element rotated by one block-diagonal
+    product into the right-handed frame with x along `axis` (y = z x axis,
+    or y x axis when the axis is nearly along z), then symmetrized to drop
+    the rotation's roundoff asymmetry."""
+    a, b, c = _as_vector(axis, 3, "axis").tolist()
+    n = math.sqrt(a * a + b * b + c * c)
+    a, b, c = a / n, b / n, c / n
+    ya, yb, yc = (-b, a, 0.0) if abs(c) <= 1.0 - 1e-9 else (c, 0.0, -a)
+    n = math.sqrt(ya * ya + yb * yb + yc * yc)
+    ya, yb, yc = ya / n, yb / n, yc / n
+    R = np.array([[a, ya, b * yc - c * yb], [b, yb, c * ya - a * yc], [c, yc, a * yb - b * ya]])
+    k = _rotate_blocks(_local_beam_matrix(E, G, A, L, Iy, Iz, J), R)
+    return 0.5 * (k + k.T)
 
 
 def beam_stiffness(section: BeamSection, nodes: tuple | None = None) -> LinkStiffness:
     """Global-frame 12x12 stiffness of a uniform beam element (on `nodes`, if given)."""
-    k_local = _local_beam_matrix(section.E, section.G, section.A, section.L,
-                                 section.Iy, section.Iz, section.J)
-    k = _rotate_blocks(k_local, beam_frame(section.axis))
-    return LinkStiffness(0.5 * (k + k.T), nodes)  # drop rotation roundoff asymmetry
+    s = section
+    return LinkStiffness(_beam_matrix(s.E, s.G, s.A, s.L, s.Iy, s.Iz, s.J, s.axis), nodes)
 
 
-def flexible_link_equations(link: LinkStiffness, d) -> EquationBlock:
-    """A two-node link: equilibrium W_i + D^T W_j = 0 (D the transport for
-    the offset d from i to j) and far-end rows -W_j + K21 dt_i + K22 dt_j = 0."""
-    i, j = link.nodes
+def flexible_link_equations(links: Sequence[LinkStiffness], d) -> EquationBlock:
+    """Links, each bound to its node pair (i, j), with d the (m, 3) offsets
+    from i to j: equilibrium W_i + D^T W_j = 0 (D the transport for d) and
+    far-end rows -W_j + K21 dt_i + K22 dt_j = 0."""
+    K, nodes = np.stack([link.K for link in links]), [link.nodes for link in links]
+    return EquationBlock([f"link({i},{j})" for i, j in nodes], 12, nodes, category="link", entries=[
+        (0, "W", 0, EYE6), (0, "W", 1, _transports(d).swapaxes(1, 2)), (6, "W", 1, NEG_EYE6),
+        (6, "t", 0, K[:, 6:, :6]), (6, "t", 1, K[:, 6:, 6:])])
+
+
+def rigid_link_equations(d, nodes: Sequence[tuple]) -> EquationBlock:
+    """Rigid links: rows D dt_i - dt_j = 0 (compatibility) and W_i + D^T W_j
+    = 0 (equilibrium), D the transport for the offset d from node i to node
+    j, one offset per node pair of `nodes`."""
+    D = _transports(d)
+    return EquationBlock([f"rigid_link({i},{j})" for i, j in nodes], 12, list(nodes), entries=[
+        (0, "t", 0, D), (0, "t", 1, NEG_EYE6), (6, "W", 0, EYE6), (6, "W", 1, D.swapaxes(1, 2))])
+
+
+def _platforms(kind: str, clamps: Sequence, ends: Sequence, clamp_rows) -> EquationBlock:
+    """Platforms, `clamps[k]` platform k's (clamp, d) pairs with d from the
+    clamp node to the end `ends[k]`: each clamp's rows `clamp_rows(k, c, D)`
+    (D the transports for the (m, c, 3) offsets d; clamps in slots 0..c-1,
+    the end in slot c), then W_end + sum_k transport(-d_k)^T W_k = 0."""
+    d = np.array([[offset for _, offset in record] for record in clamps], dtype=float)
+    m, c = len(clamps), len(clamps[0])
+    D, T = (_transports(x).reshape(m, c, 6, 6) for x in (d, -d))
+    entries = [entry for k in range(c) for entry in clamp_rows(k, c, D)]
+    entries += [(6 * c, "W", k, T[:, k].swapaxes(1, 2)) for k in range(c)]
+    nodes = [tuple(node for node, _ in record) + (end,) for record, end in zip(clamps, ends)]
     return EquationBlock(
-        source=f"link({i},{j})",
-        rows=12,
-        category="link",
-        entries=[
-            (0, wrench_var(i), EYE6),
-            (0, wrench_var(j), transport_matrix(d).T),
-            (6, wrench_var(j), NEG_EYE6),
-            (6, deflection_var(i), link.K21),
-            (6, deflection_var(j), link.K22),
-        ],
-    )
+        [f"{kind}_platform({','.join(map(str, n[:-1]))};{n[-1]})" for n in nodes],
+        6 * c + 6, nodes, entries + [(6 * c, "W", c, EYE6)],
+        category="link" if kind == "flexible" else "constraint")
 
 
-def rigid_link_equations(d, nodes) -> EquationBlock:
-    """Rigid-link constraints: transported compatibility plus static equilibrium.
-
-    Six rows carry D dt_i - dt_j = 0 and six rows carry W_i + D^T W_j = 0,
-    where D is the transport operator for the offset d from node i to node j.
-    """
-    i, j = nodes
-    D = transport_matrix(d)
-    return EquationBlock(
-        source=f"rigid_link({i},{j})",
-        rows=12,
-        entries=[
-            (0, deflection_var(i), D),
-            (0, deflection_var(j), NEG_EYE6),
-            (6, wrench_var(i), EYE6),
-            (6, wrench_var(j), D.T),
-        ],
-    )
+def rigid_platform_equations(clamps: Sequence, ends: Sequence) -> EquationBlock:
+    """Rigid platforms with one number of clamps, `clamps[k]` platform k's
+    (node, d) pairs with d from the clamp to its end node `ends[k]`: six
+    compatibility rows per clamp, and the equilibrium about the end point."""
+    return _platforms("rigid", clamps, ends, lambda k, c, D: [
+        (6 * k, "t", k, D[:, k]), (6 * k, "t", c, NEG_EYE6)])
 
 
-def _balance_about(end: Hashable, clamps: Sequence, row: int) -> list:
-    """Entries of the six rows W_end + sum_k transport(-d_k)^T W_k = 0: the
-    equilibrium about the end point of a platform held at the clamp nodes,
-    for (node, d_k) pairs with d_k pointing from clamp k to the end."""
-    entries = [(row, wrench_var(node), transport_matrix(-np.asarray(d, dtype=float)).T)
-               for node, d in clamps]
-    entries.append((row, wrench_var(end), EYE6))
-    return entries
-
-
-def rigid_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
-    """Rigid platform tying clamp nodes to the end node.
-
-    `clamps` is a sequence of (node, d) pairs where d points from the clamp
-    to the end reference point. Each clamp contributes six compatibility rows;
-    one six-row equilibrium equation sums the transported clamp wrenches with
-    the end-node wrench.
-    """
-    clamps = list(clamps)
-    entries = []
-    for k, (node, d) in enumerate(clamps):
-        entries.append((6 * k, deflection_var(node), transport_matrix(d)))
-        entries.append((6 * k, deflection_var(end), NEG_EYE6))
-    return EquationBlock(
-        source=f"rigid_platform({','.join(str(c) for c, _ in clamps)};{end})",
-        rows=6 * len(clamps) + 6,
-        entries=entries + _balance_about(end, clamps, 6 * len(clamps)),
-    )
-
-
-def flexible_platform_equations(clamps: Sequence, end: Hashable) -> EquationBlock:
-    """Platform approximated by virtual flexible links sharing the end node.
-
-    `clamps` holds (link, d) pairs, each link bound to (clamp, end) and d
-    pointing from the clamp to the end. Each clamp gives its link's near-end
-    rows -W_c + K11 dt_c + K12 dt_end = 0; the end rows are the equilibrium
-    about the end point, as for a rigid platform.
-    """
-    clamps = list(clamps)
-    entries = []
-    for k, (link, _) in enumerate(clamps):
-        clamp = link.nodes[0]
-        entries.append((6 * k, wrench_var(clamp), NEG_EYE6))
-        entries.append((6 * k, deflection_var(clamp), link.K11))
-        entries.append((6 * k, deflection_var(end), link.K12))
-    nodes = [(link.nodes[0], d) for link, d in clamps]
-    return EquationBlock(
-        source=f"flexible_platform({','.join(str(c) for c, _ in nodes)};{end})",
-        rows=6 * len(clamps) + 6,
-        category="link",
-        entries=entries + _balance_about(end, nodes, 6 * len(clamps)),
-    )
+def flexible_platform_equations(clamps: Sequence, ends: Sequence) -> EquationBlock:
+    """Platforms of virtual flexible links sharing their end node, with one
+    number of clamps, `clamps[k]` platform k's (link, d) pairs, each link
+    bound to (clamp, `ends[k]`): each link's near-end rows -W_c + K11 dt_c +
+    K12 dt_end = 0, and the equilibrium about the end point."""
+    K = np.array([[link.K[:6] for link, _ in record] for record in clamps])
+    clamps = [[(link.nodes[0], d) for link, d in record] for record in clamps]
+    return _platforms("flexible", clamps, ends, lambda k, c, D: [
+        (6 * k, "W", k, NEG_EYE6), (6 * k, "t", k, K[:, k, :, :6]),
+        (6 * k, "t", c, K[:, k, :, 6:])])

@@ -1,16 +1,16 @@
 """Equation blocks: the uniform currency produced by all emitters.
 
-A block is a group of scalar equations over per-node wrench and deflection
-unknowns. Emitters give its coefficients as (row offset, variable, sub-block)
-entries and the block keeps them as given. `layout` maps the entries of any
-list of blocks onto global COO triplets and row kinds in one vectorized
-pass; the assembler scatters them into the global sparse matrix while
-keeping provenance per row. Emitters trust the model, so blocks check
-nothing: one test over every emitter holds their layout invariants.
+A block is a family of records (elements, connections, supports or load
+points of one kind) that share a row layout; a single record is a family of
+one. `layout` maps the entries of any list of blocks onto global COO
+triplets in one vectorized step per family, each record at its catalogue
+position. Emitters trust the model, so blocks check nothing: one test over
+every emitter holds their layout invariants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -23,10 +23,8 @@ EYE6 = np.eye(6)
 NEG_EYE6 = -EYE6
 EYE6.flags.writeable = NEG_EYE6.flags.writeable = False
 
-# Row kinds by code: constraint rows are coded 1 (deflections only), 2
-# (wrenches only) or 3 (both); link and load rows by their category.
-_ROW_KINDS = ("", "compat", "wrench", "mixed", "link", "load")
-_CATEGORY_CODE = {"constraint": 0, "link": 4, "load": 5}
+# Kinds of constraint rows by code: 1 (deflections only), 2 (wrenches only), 3 (both).
+_ROW_KINDS = ("", "compat", "wrench", "mixed")
 
 
 def wrench_var(node: Hashable) -> Var:
@@ -39,74 +37,88 @@ def deflection_var(node: Hashable) -> Var:
 
 @dataclass(eq=False)
 class EquationBlock:
-    """Rows of the global model contributed by one element, joint or boundary.
+    """Rows of m records, `rows` each, over the distinct nodes that each
+    record lists by slot in `nodes`. `entries` are (row offset, "W" or "t",
+    slot, sub-block) over the wrench or deflection of the node in that slot,
+    with one (r, 6) sub-block for all records or an (m, r, 6) stack; entries
+    that share rows add up. `rhs` is (m, rows). category is "link" for the
+    [-I | K] stiffness rows, "load" for external-wrench equilibrium rows,
+    whose wrench is bound at solve time to `load_nodes[k]`, and "constraint"
+    otherwise. `index` places the records in the model's catalogue (0..m-1
+    by default) and `sources` labels them."""
 
-    `entries` are (row offset, variable, sub-block) triplets, each sub-block
-    an (r, 6) float array over the six components of its variable; entries
-    that share rows add up. category is "link" for stiffness relations (the
-    [-I | K] rows), "load" for external-wrench equilibrium rows, and
-    "constraint" otherwise. Load blocks carry `load_node`, the key under
-    which the applied wrench is bound to the right-hand side at solve time.
-    """
-
-    source: str
+    sources: list
     rows: int
+    nodes: list
     entries: list = field(default_factory=list)
     rhs: np.ndarray | None = None
     category: str = "constraint"
-    load_node: Hashable | None = None
+    load_nodes: list | None = None
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         if self.rhs is None:
-            self.rhs = np.zeros(self.rows)
+            self.rhs = np.zeros((len(self.nodes), self.rows))
+        if self.index is None:
+            self.index = np.arange(len(self.nodes))
 
     @property
     def variables(self) -> list:
-        """The block's variables in order of first use."""
-        return list(dict.fromkeys(var for _, var, _ in self.entries))
+        """The block's variables in order of first use, record by record."""
+        return list(dict.fromkeys((kind, record[slot]) for record in self.nodes
+                                  for _, kind, slot, _ in self.entries))
 
     def row_kinds(self) -> list:
-        """Per-row classification: link, load, compat, wrench or mixed."""
-        return layout([self], dict.fromkeys(self.variables, 0))[5]   # columns do not matter
+        """Kind of each of a record's rows: link, load, compat, wrench or mixed."""
+        if self.category != "constraint":
+            return [self.category] * self.rows
+        codes = [0] * self.rows
+        for row, kind, _, sub in self.entries:
+            for k in range(row, row + sub.shape[-2]):
+                codes[k] |= 1 if kind == "t" else 2
+        return [_ROW_KINDS[code] for code in codes]
 
     def dense(self, variables: Sequence[Var] | None = None) -> tuple:
-        """Dense coefficient matrix over `variables` (default: this block's own).
-
-        Returns (matrix, ordered variables); handy for rank audits.
-        """
+        """Dense coefficient matrix of the records' rows, in block order, over
+        `variables` (default: this block's own), and the variables; handy for
+        rank audits."""
         variables = self.variables if variables is None else list(variables)
-        rows, cols, values = layout([self], {var: 6 * k for k, var in enumerate(variables)})[:3]
-        M = np.zeros((self.rows, 6 * len(variables)))
-        np.add.at(M, (rows, cols), values)
+        col = {var: 6 * k for k, var in enumerate(variables)}
+        M = np.zeros((len(self.nodes) * self.rows, 6 * len(variables)))
+        for k, record in enumerate(self.nodes):
+            for row, kind, slot, sub in self.entries:
+                r, c = self.rows * k + row, col[kind, record[slot]]
+                M[r:r + sub.shape[-2], c:c + 6] += sub if sub.ndim == 2 else sub[k]
         return M, variables
 
 
-def layout(blocks: Sequence[EquationBlock], col_of: Mapping) -> tuple:
-    """Lay out the entries of `blocks`, stacked in order, in one pass.
-
-    `col_of` maps each variable to its first column. Returns (rows, cols,
-    values, entry_block, entry_col, kinds): the COO triplets of every
-    coefficient, zeros included, in entry order; the block and first column
-    of every entry; and the kind of every row (see `EquationBlock.row_kinds`).
-    """
-    heights = [block.rows for block in blocks]
-    total = sum(heights)
-    row_base = np.cumsum(heights, dtype=np.intp) - heights
-    flat = [(base + start, var, sub) for block, base in zip(blocks, row_base.tolist())
-            for start, var, sub in block.entries]
-    starts, variables, subs = zip(*flat) if flat else ((), (), ())
-    n = len(flat)
-    entry_block = np.repeat(np.arange(len(blocks)), [len(block.entries) for block in blocks])
-    entry_col = np.fromiter(map(col_of.__getitem__, variables), np.intp, n)
-    sizes = 6 * np.fromiter(map(len, subs), np.intp, n)
-    entry = np.repeat(np.arange(n), sizes)
-    offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    rows = np.array(starts, dtype=np.intp)[entry] + offset // 6
-    cols = entry_col[entry] + offset % 6
-    values = np.concatenate(subs, axis=None) if n else np.zeros(0)
-    deflection = np.fromiter((var[0] == "t" for var in variables), bool, n)[entry]
-    code = ((np.bincount(rows[deflection], minlength=total) > 0)
-            + 2 * (np.bincount(rows[~deflection], minlength=total) > 0))
-    category = np.repeat([_CATEGORY_CODE[block.category] for block in blocks], heights)
-    kinds = list(map(_ROW_KINDS.__getitem__, np.where(category, category, code).tolist()))
-    return rows, cols, values, entry_block, entry_col, kinds
+def layout(blocks: Sequence[EquationBlock], index: Mapping) -> tuple:
+    """Lay out `blocks`, whose `index` arrays together number their records
+    0..R-1 in row order, in one vectorized step per family. Of the n nodes
+    that `index` numbers, node k's wrench takes columns 6k to 6k + 5 and its
+    deflection 6(n + k) to 6(n + k) + 5. Returns (rows, cols, values, bases):
+    the COO triplets of every coefficient, zeros included, and the first
+    row of each block's records."""
+    n = len(index)
+    heights = np.zeros(sum(len(block.nodes) for block in blocks), dtype=np.intp)
+    for block in blocks:
+        heights[block.index] = block.rows
+    starts = np.cumsum(heights) - heights
+    bases = [starts[block.index] for block in blocks]
+    rows, cols, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for block, base in zip(blocks, bases):
+        m, height = len(block.nodes), sum(entry[3].shape[-2] for entry in block.entries)
+        local, slot, offset, value = [], [], [], np.empty((m, height, 6))
+        for row, kind, s, sub in block.entries:
+            value[:, len(local):len(local) + sub.shape[-2]] = sub
+            local += range(row, row + sub.shape[-2])
+            slot += [s] * sub.shape[-2]
+            offset += [6 * n if kind == "t" else 0] * sub.shape[-2]
+        node = np.fromiter(map(index.__getitem__, chain.from_iterable(block.nodes)),
+                           np.intp, m * len(block.nodes[0])).reshape(m, -1)
+        rows.append((base[:, None] + local).ravel())        # first row and column of
+        cols.append((6 * node[:, slot] + offset).ravel())   # every sub-block row
+        values.append(value.ravel())
+    first = np.concatenate(cols)
+    return (np.repeat(np.concatenate(rows), 6), (first[:, None] + np.arange(6)).ravel(),
+            np.concatenate(values), bases)

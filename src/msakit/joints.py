@@ -24,7 +24,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .core import JointBasis, JointStiffness
-from .equations import EYE6, NEG_EYE6, EquationBlock, deflection_var, wrench_var
+from .equations import EYE6, NEG_EYE6, EquationBlock
 from .errors import ModelError
 
 JOINT_KINDS = ("rigid", "passive", "elastic", "actuated")
@@ -107,10 +107,11 @@ def _check_spring(basis: JointBasis | None, stiffness: JointStiffness | None, wh
                       "statically indeterminate and are ignored", stacklevel=3)
 
 
-def connection_equations(carrier: Sequence[Hashable], attachments: Sequence,
-                         source: str) -> EquationBlock:
-    """Rows of a carrier group of welded nodes plus attachments
-    (node, basis, JointStiffness or None for a pin) tied to its first node c:
+def connection_equations(carriers: Sequence, attachments: Sequence,
+                         sources: Sequence[str]) -> EquationBlock:
+    """Rows of connections of one layout, carriers of welded nodes of one size
+    and attachments (node, basis, JointStiffness or None for a pin) of one
+    (r, p, spring or pin) each, tied to the carrier's first node c:
 
     - Lr (dt_a - dt_c) = 0 for each attachment a;
     - dt_k - dt_last = 0 for every other carrier node k;
@@ -119,30 +120,28 @@ def connection_equations(carrier: Sequence[Hashable], attachments: Sequence,
       Lf the rigid and free directions of its basis, Ke its spring matrix
       (no term for a pin) and W0 its preload.
     """
-    c, last = carrier[0], carrier[-1]
-    entries = []
-    row = 0
-    for node, basis, _ in attachments:
+    first, row, entries = attachments[0], 0, []
+    c, last = len(first), len(first) + len(carriers[0]) - 1
+    for s, (_, basis, _) in enumerate(first):
         if basis.r:
-            entries.append((row, deflection_var(node), basis.lambda_rigid))
-            entries.append((row, deflection_var(c), -basis.lambda_rigid))
+            lr = np.stack([record[s][1].lambda_rigid for record in attachments])
+            entries += [(row, "t", s, lr), (row, "t", c, -lr)]
             row += basis.r
-    for node in carrier[:-1]:
-        entries.append((row, deflection_var(node), EYE6))
-        entries.append((row, deflection_var(last), NEG_EYE6))
+    for s in range(c, last):
+        entries += [(row, "t", s, EYE6), (row, "t", last, NEG_EYE6)]
         row += 6
-    for node in [node for node, _, _ in attachments] + list(carrier):
-        entries.append((row, wrench_var(node), EYE6))
+    entries += [(row, "W", s, EYE6) for s in range(last + 1)]
     row += 6
-    rhs = np.zeros(row + sum(basis.p for _, basis, _ in attachments))
-    for node, basis, stiffness in attachments:
-        lf = basis.lambda_free
+    rhs = np.zeros((len(carriers), row + sum(basis.p for _, basis, _ in first)))
+    for s, (_, basis, stiffness) in enumerate(first):
+        lf = np.stack([record[s][1].lambda_free for record in attachments])
         if stiffness is not None:
-            hooke = stiffness.matrix @ lf
-            entries.append((row, deflection_var(node), hooke))
-            entries.append((row, deflection_var(c), -hooke))
-            if stiffness.preload is not None:
-                rhs[row:row + basis.p] = lf @ stiffness.preload
-        entries.append((row, wrench_var(node), lf))
+            hooke = np.stack([record[s][2].matrix for record in attachments]) @ lf
+            entries += [(row, "t", s, hooke), (row, "t", c, -hooke)]
+            for k, (_, b, spring) in enumerate(record[s] for record in attachments):
+                if spring.preload is not None:
+                    rhs[k, row:row + basis.p] = b.lambda_free @ spring.preload
+        entries.append((row, "W", s, lf))
         row += basis.p
-    return EquationBlock(source=source, rows=row, entries=entries, rhs=rhs)
+    nodes = [tuple(a[0] for a in att) + tuple(car) for car, att in zip(carriers, attachments)]
+    return EquationBlock(list(sources), row, nodes, entries, rhs)

@@ -11,6 +11,7 @@ must be a free body about its node positions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .boundary import SUPPORT_KINDS
 from .core import JointBasis, JointStiffness, _as_vector, _joint_stiffness, transport_matrix
-from .elements import BeamSection, LinkStiffness, beam_stiffness
+from .elements import LinkStiffness, _beam_matrix, _check_section
 from .errors import ModelError
 from .joints import JointSpec, _check_spring, joint_spec
 
@@ -63,7 +64,7 @@ class Model:
         self.load_points: dict = {}          # end node -> tuple of incident nodes
         self.end_effector: Hashable | None = None
         self._extent = 1.0                   # max(1, largest |coordinate| of any node)
-        self._system = None                  # (record counts, system) of assembly._system
+        self._system = None                  # (counts, system, padded system) of assembly._system
 
     # -- nodes ----------------------------------------------------------
 
@@ -71,7 +72,7 @@ class Model:
         if node in self.positions:
             raise ModelError(f"node {node!r} already declared")
         self.positions[node] = p = _as_vector(position, 3, f"position of {node!r}")
-        self._extent = max(self._extent, float(np.abs(p).max()))
+        self._extent = max(self._extent, *map(abs, p.tolist()))
 
     def position_of(self, node: Hashable) -> np.ndarray:
         self._require_nodes([node])
@@ -83,8 +84,8 @@ class Model:
                 raise ModelError(f"unknown node id {node!r}")
 
     def _require_coincident(self, nodes, what: str) -> None:
-        pts = [self.positions[n] for n in nodes]
-        spread = max(np.linalg.norm(p - pts[0]) for p in pts)
+        pts = [self.positions[n].tolist() for n in nodes]
+        spread = max(math.dist(p, pts[0]) for p in pts)
         if spread > COINCIDENT_TOL * self._extent:
             raise ModelError(f"{what} nodes must be coincident (offset {spread:.3e}); "
                              "use a rigid link to bridge distinct points")
@@ -120,11 +121,11 @@ class Model:
         """
         self._require_nodes([i, j])
         d = self.positions[j] - self.positions[i]
-        L = float(np.linalg.norm(d))
+        L = math.sqrt(d.dot(d))
         if L <= 0.0:
             raise ModelError(f"beam ({i!r},{j!r}) has zero length")
-        section = BeamSection(E=E, G=G, A=A, L=L, Iy=Iy, Iz=Iz, J=J, axis=d / L)
-        link = beam_stiffness(section, (i, j))    # a free body by construction
+        _check_section(E=E, G=G, A=A, L=L, Iy=Iy, Iz=Iz, J=J)
+        link = LinkStiffness(_beam_matrix(E, G, A, L, Iy, Iz, J, d), (i, j))   # a free body
         self.flexible_links.append(link)
         return link
 

@@ -129,22 +129,36 @@ def stack_dense(blocks, variables) -> np.ndarray:
     return np.vstack(parts) if parts else np.zeros((0, 6 * len(variables)))
 
 
+def record_entries(block):
+    """(row, variable, sub-block) of every record's entries, rows counted
+    from the block's first record: a plain loop over the family."""
+    for k, record in enumerate(block.nodes):
+        for row, kind, slot, sub in block.entries:
+            yield block.rows * k + row, (kind, record[slot]), sub if sub.ndim == 2 else sub[k]
+
+
 def entries_dense(block, variables) -> np.ndarray:
-    """A block's rows scattered entry by entry from `block.entries`."""
+    """A block's rows scattered entry by entry from its records' entries."""
     col = {var: 6 * k for k, var in enumerate(variables)}
-    M = np.zeros((block.rows, 6 * len(variables)))
-    for row, var, sub in block.entries:
+    M = np.zeros((len(block.nodes) * block.rows, 6 * len(variables)))
+    for row, var, sub in record_entries(block):
         M[row:row + sub.shape[0], col[var]:col[var] + 6] += sub
     return M
 
 
 def block_residual(block, values: dict) -> np.ndarray:
     """Evaluate a block's rows at {("W"|"t", node): 6-vector}; zero means satisfied."""
-    r = -block.rhs.copy()
-    for row, var, sub in block.entries:
+    r = -block.rhs.ravel()
+    for row, var, sub in record_entries(block):
         v = np.asarray(values.get(var, np.zeros(6)), dtype=float)
         r[row:row + sub.shape[0]] += sub @ v
     return r
+
+
+def connection_block(spec):
+    """The rows of one connection record, from the family emitter."""
+    from msakit.joints import connection_equations
+    return connection_equations([spec.carrier], [spec.attachments], [f"{spec.kind}{spec.nodes}"])
 
 
 def rel_fro(a, b) -> float:

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import msakit
-from msakit.assembly import _connection_block
-from msakit.joints import joint_spec
+from msakit.joints import connection_equations, joint_spec
 from msakit.core import block_rotation
 from msakit.elements import rigid_link_equations, rigid_platform_equations
 
@@ -77,7 +76,7 @@ def test_criterion_3_oracle_equivalence_on_random_chains():
 
 def test_criterion_4_rank_claims():
     with criterion(4, "rigid link rank 12/24 and 3-clamp platform rank 24/48"):
-        link = rigid_link_equations([0.4, -0.2, 0.7], ("i", "j"))
+        link = rigid_link_equations([[0.4, -0.2, 0.7]], [("i", "j")])
         M, _ = link.dense()
         assert M.shape == (12, 24)
         s_max = np.linalg.svd(M, compute_uv=False)[0]
@@ -85,7 +84,7 @@ def test_criterion_4_rank_claims():
 
         clamps = [("c0", np.array([1.0, 0, 0])), ("c1", np.array([-0.5, 0.8, 0])),
                   ("c2", np.array([-0.5, -0.8, 0.3]))]
-        platform = rigid_platform_equations(clamps, "e")
+        platform = rigid_platform_equations([clamps], ["e"])
         P, _ = platform.dense()
         assert P.shape == (24, 48)
         s_max = np.linalg.svd(P, compute_uv=False)[0]
@@ -151,12 +150,13 @@ def test_criterion_5_joint_limit_consistency():
 def test_criterion_6_preload_behavior():
     with criterion(6, "zero preload is bitwise neutral; locked preload stays internal"):
         # Preloaded rows with zero preload equal the unpreloaded rows exactly.
-        plain, zeroed = (_connection_block(joint_spec(
-            kind="elastic", nodes=("i", "j"), basis=RZ,
-            stiffness=msakit.JointStiffness([[75.0]], preload))) for preload in (None, np.zeros(6)))
+        plain, zeroed = (connection_equations([spec.carrier], [spec.attachments], ["joint<i,j>"])
+                         for spec in (joint_spec(kind="elastic", nodes=("i", "j"), basis=RZ,
+                                                 stiffness=msakit.JointStiffness([[75.0]], preload))
+                                      for preload in (None, np.zeros(6))))
         np.testing.assert_array_equal(plain.rhs, zeroed.rhs)
-        for (r1, v1, b1), (r2, v2, b2) in zip(plain.entries, zeroed.entries):
-            assert r1 == r2 and v1 == v2
+        for (r1, k1, s1, b1), (r2, k2, s2, b2) in zip(plain.entries, zeroed.entries):
+            assert r1 == r2 and (k1, s1) == (k2, s2)
             np.testing.assert_array_equal(b1, b2)
 
         # A preloaded spring bridging two grounded rigid arms: the preload is

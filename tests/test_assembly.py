@@ -592,7 +592,10 @@ class TestSharedFactorization:
         lambda: pendulum_chain(2, end_effector=False),
     ], ids=["navaro", "pendulum chain", "duplicated joint", "pendulum chain, no end effector"])
     def test_audit_builds_one_factorization(self, build, factorizations):
-        build().check()
+        model = build()
+        model.check()
+        assert len(factorizations) == 1
+        model.check()                    # a non-square model keeps its padded system
         assert len(factorizations) == 1
 
     @pytest.mark.parametrize("build", [msakit.build_navaro, lambda: pendulum_chain(2)],
@@ -745,6 +748,47 @@ def pinned_beam():
     return m
 
 
+def interleaved_families():
+    """Records of several row layouts interleaved in insertion order:
+    elastic revolute-x, passive and elastic revolute-y joints, a junction
+    pinning two attachments of different bases, a 3-node rigid carrier, a
+    clamp and a preloaded 2x2 elastic support, a flexible platform and three
+    load points."""
+    m = msakit.Model()
+    points = {"a0": [0, 0, 0], "a1": [0.4, 0, 0], "b1": [0.8, 0.1, 0], "c1": [1.2, 0.1, 0.1],
+              "d1": [1.6, 0, 0.1], "e1": [2.0, 0.3, 0.1], "f1": [2.0, -0.3, 0.1],
+              "p": [2.3, 0, 0.1], "g0": [0, 1.0, 0], "g1": [0.3, 1.0, 0],
+              "h1": [0.6, 1.3, 0], "k1": [0.6, 0.7, 0]}
+    for node, at in (("b0", "a1"), ("c0", "b1"), ("d0", "c1"), ("e0", "d1"), ("f0", "d1"),
+                     ("h0", "g1"), ("k0", "g1")):
+        points[node] = points[at]
+    for node, position in points.items():
+        m.add_node(node, position)
+    for i, j in (("a0", "a1"), ("b0", "b1"), ("g0", "g1"), ("c0", "c1"), ("d0", "d1"),
+                 ("e0", "e1"), ("h0", "h1"), ("f0", "f1"), ("k0", "k1")):
+        m.add_beam(i, j, **section_kwargs())
+    ry = msakit.joint_basis_preset("revolute_y")
+    m.add_joint("elastic", ("a1", "b0"), basis=msakit.joint_basis_preset("revolute_x"),
+                stiffness=[[500.0]])
+    m.add_junction(("g1",), [("h0", RZ), ("k0", msakit.joint_basis_preset("spherical"))])
+    m.add_joint("passive", ("b1", "c0"), basis=ry)
+    m.add_joint("elastic", ("c1", "d0"), basis=ry, stiffness=[[800.0]])
+    m.add_joint("rigid", ("d1", "e0", "f0"))
+    m.add_support("a0", "rigid")
+    m.add_support("g0", "elastic", basis=msakit.joint_basis_preset("universal"),
+                  stiffness=[[30.0, 5.0], [5.0, 40.0]], preload=[0, 0, 0, 1.5, -0.5, 0])
+    stiff = {}
+    for clamp in ("e1", "f1"):
+        d = np.asarray(points["p"], dtype=float) - points[clamp]
+        L = float(np.linalg.norm(d))
+        stiff[clamp] = msakit.beam_stiffness(msakit.BeamSection(L=L, axis=d / L, **section_kwargs()))
+    m.add_flexible_platform(stiff, "p")
+    m.add_load_point("h1")
+    m.set_end_effector("p")
+    m.add_load_point("k1")
+    return m
+
+
 AGGREGATION_MODELS = {
     "navaro leg": msakit.build_navaro_leg,
     "navaro": msakit.build_navaro,
@@ -755,7 +799,33 @@ AGGREGATION_MODELS = {
     "passive support": pinned_beam,
     "elastic support and preloaded joint": sprung_model,
     "elastic support lever": locked_lever,
+    "interleaved families": interleaved_families,
 }
+
+
+def _catalogue_sources(model) -> list:
+    """The source of every record in the canonical row order (links, rigid
+    links, platforms, connections, supports, loads), from the model's
+    record containers."""
+    sources = [f"link({i},{j})" for i, j in (link.nodes for link in model.flexible_links)]
+    sources += [f"rigid_link({i},{j})" for i, j in model.rigid_links]
+    sources += [f"{p.kind}_platform({','.join(map(str, p.clamps))};{p.end})"
+                for p in model.platforms]
+    sources += [f"{'junction' if c.kind == 'junction' else 'joint'}<{','.join(map(str, c.nodes))}>"
+                for c in model.connections]
+    sources += [f"support@{node}" for node in model.supports]
+    return sources + [f"load@{end}" for end in model.load_points]
+
+
+def _first_rows(blocks) -> dict:
+    """First global row of the record at each catalogue position, by a
+    plain walk over the records in catalogue order."""
+    heights = {int(g): b.rows for b in blocks for g in b.index}
+    assert sorted(heights) == list(range(sum(len(b.nodes) for b in blocks)))
+    first, row = {}, 0
+    for g in sorted(heights):
+        first[g], row = row, row + heights[g]
+    return first
 
 
 @pytest.mark.parametrize("name", AGGREGATION_MODELS)
@@ -767,19 +837,26 @@ def test_aggregation_matches_dense_oracle(name):
                  + [deflection_var(n) for n in system.nodes])
     dense = stack_dense(blocks, variables)
     np.testing.assert_array_equal(dense, np.vstack([entries_dense(b, variables) for b in blocks]))
-    np.testing.assert_array_equal(system.matrix.toarray(), dense)
+    # The global row of each stacked row: records sit at their catalogue rows.
+    first = _first_rows(blocks)
+    rows = [first[int(g)] + r for b in blocks for g in b.index for r in range(b.rows)]
+    assert sorted(rows) == list(range(system.shape[0]))
+    placed = np.empty_like(dense)
+    placed[rows] = dense
+    np.testing.assert_array_equal(system.matrix.toarray(), placed)
     assert system.matrix.nnz == np.count_nonzero(dense)
-    np.testing.assert_array_equal(system.rhs, np.concatenate([b.rhs for b in blocks]))
-    assert system.row_meta == [(b.source, kind) for b in blocks for kind in b.row_kinds()]
+    np.testing.assert_array_equal(system.rhs[rows], np.concatenate([b.rhs.ravel() for b in blocks]))
+    assert [system.row_meta[r] for r in rows] == [
+        (source, kind) for b in blocks for source in b.sources for kind in b.row_kinds()]
 
 
 def _row_kinds_by_loop(block) -> list:
-    """Kinds of a block's rows, from a plain walk over its entries."""
+    """Kinds of a record's rows, from a plain walk over the block's entries."""
     if block.category != "constraint":
         return [block.category] * block.rows
     names = {frozenset("t"): "compat", frozenset("W"): "wrench", frozenset("Wt"): "mixed"}
-    return [names[frozenset(var[0] for start, var, sub in block.entries
-                            if start <= row < start + sub.shape[0])]
+    return [names[frozenset(kind for start, kind, _, sub in block.entries
+                            if start <= row < start + sub.shape[-2])]
             for row in range(block.rows)]
 
 
@@ -790,20 +867,32 @@ def test_emitted_blocks_are_well_formed(name):
     model = {**AGGREGATION_MODELS, **SINGULAR_MODELS}[name]()
     blocks = assembly._emit_blocks(model)
     system = assembly._build_system(model, blocks)
-    row = 0
+    first = _first_rows(blocks)
+    catalogue = _catalogue_sources(model)
     for block in blocks:
-        assert block.category in ("link", "constraint", "load"), block.source
-        assert (block.category == "load") == (block.load_node is not None), block.source
+        m = len(block.nodes)
+        assert m >= 1 and len(block.sources) == len(block.index) == m, block.sources
+        assert len({len(record) for record in block.nodes}) == 1, block.sources
+        assert all(len(set(record)) == len(record) for record in block.nodes), block.sources
+        assert block.category in ("link", "constraint", "load"), block.sources
+        assert (block.category == "load") == (block.load_nodes is not None), block.sources
         covered = np.zeros(block.rows, dtype=bool)
-        for start, _, sub in block.entries:
-            assert isinstance(sub, np.ndarray) and sub.dtype == np.float64, block.source
-            assert sub.ndim == 2 and sub.shape[1] == 6, block.source
-            assert np.isfinite(sub).all(), block.source
-            assert 0 <= start and start + sub.shape[0] <= block.rows, block.source
-            covered[start:start + sub.shape[0]] = True
-        assert covered.all(), f"{block.source}: rows without any entry"
-        assert len(block.rhs) == block.rows, block.source
+        for start, kind, slot, sub in block.entries:
+            assert kind in ("W", "t") and 0 <= slot < len(block.nodes[0]), block.sources
+            assert isinstance(sub, np.ndarray) and sub.dtype == np.float64, block.sources
+            assert sub.shape[-1] == 6, block.sources
+            assert sub.ndim == 2 or (sub.ndim == 3 and sub.shape[0] == m), block.sources
+            assert np.isfinite(sub).all(), block.sources
+            assert 0 <= start and start + sub.shape[-2] <= block.rows, block.sources
+            covered[start:start + sub.shape[-2]] = True
+        assert covered.all(), f"{block.sources}: rows without any entry"
+        assert block.rhs.shape == (m, block.rows), block.sources
         kinds = _row_kinds_by_loop(block)
-        assert system.row_meta[row:row + block.rows] == [(block.source, k) for k in kinds]
-        row += block.rows
-    assert row == len(system.row_meta)
+        for source, g in zip(block.sources, block.index.tolist()):
+            assert source == catalogue[g]
+            row = first[g]
+            assert system.row_meta[row:row + block.rows] == [(source, k) for k in kinds]
+        if block.category == "load":
+            for node, g in zip(block.load_nodes, block.index.tolist()):
+                np.testing.assert_array_equal(system.load_rows[node], first[g] + np.arange(6))
+    assert sum(len(b.nodes) * b.rows for b in blocks) == len(system.row_meta)

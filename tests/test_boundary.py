@@ -3,10 +3,8 @@ import numpy as np
 import pytest
 
 import msakit
-from msakit.assembly import _support_block
-from msakit.boundary import external_load_equations
+from msakit.boundary import CLAMP, external_load_equations, support_equations
 from msakit.equations import deflection_var, wrench_var
-from msakit.model import SupportSpec
 
 from helpers import block_residual, cantilever, flexible_platform_model, section_kwargs
 
@@ -14,16 +12,15 @@ RZ = msakit.joint_basis_preset("revolute_z")
 
 
 def rigid_support(node):
-    return _support_block(SupportSpec(node=node, kind="rigid"))
+    return support_equations([node], [CLAMP], [None])
 
 
 def passive_support(node, basis):
-    return _support_block(SupportSpec(node=node, kind="passive", basis=basis))
+    return support_equations([node], [basis], [None])
 
 
 def elastic_support(node, basis, stiffness, preload=None):
-    return _support_block(SupportSpec(node=node, kind="elastic", basis=basis,
-                                      stiffness=msakit.JointStiffness(stiffness, preload)))
+    return support_equations([node], [basis], [msakit.JointStiffness(stiffness, preload)])
 
 
 class TestSupportRows:
@@ -72,20 +69,20 @@ class TestSupportRows:
 
 class TestExternalLoadRows:
     def test_single_incident_node(self):
-        block = external_load_equations(["e"], "e")
-        assert block.rows == 6 and block.load_node == "e"
+        block = external_load_equations([["e"]], ["e"])
+        assert block.rows == 6 and block.load_nodes == ["e"]
         M, variables = block.dense()
         assert variables == [wrench_var("e")]
         np.testing.assert_array_equal(M, np.eye(6))
 
     def test_three_incident_nodes_sum(self):
-        block = external_load_equations(["i", "j", "k"], "e")
+        block = external_load_equations([["i", "j", "k"]], ["e"])
         order = [wrench_var(n) for n in "ijk"]
         M, _ = block.dense(order)
         np.testing.assert_array_equal(M, np.hstack([np.eye(6)] * 3))
 
     def test_zero_load_reduces_to_wrench_balance(self):
-        block = external_load_equations(["i", "j"], "e")
+        block = external_load_equations([["i", "j"]], ["e"])
         w = np.array([1.0, -2.0, 3.0, 0.1, 0.2, -0.3])
         values = {wrench_var("i"): w, wrench_var("j"): -w}
         np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)

@@ -96,7 +96,7 @@ class TestLinkStiffness:
 class TestFlexibleLinkEquations:
     def _block(self):
         link = msakit.beam_stiffness(_section()).with_nodes("i", "j")
-        return link, flexible_link_equations(link, [1.0, 0, 0])
+        return link, flexible_link_equations([link], [[1.0, 0, 0]])
 
     def test_row_count_and_category(self):
         _, block = self._block()
@@ -148,7 +148,7 @@ class TestFlexibleLinkEquations:
         m.add_node("j", [1.0, 0, 0])
         link = m.add_flexible_link("i", "j", msakit.beam_stiffness(_section()))
         assert link.nodes == ("i", "j")
-        assert flexible_link_equations(link, [1.0, 0, 0]).variables[0] == wrench_var("i")
+        assert flexible_link_equations([link], [[1.0, 0, 0]]).variables[0] == wrench_var("i")
 
 
 class TestFreeBodyGate:
@@ -176,13 +176,13 @@ class TestFreeBodyGate:
 
 class TestRigidLinkEquations:
     def test_row_split(self):
-        block = rigid_link_equations([1.0, 0, 0], ("i", "j"))
+        block = rigid_link_equations([[1.0, 0, 0]], [("i", "j")])
         kinds = block.row_kinds()
         assert kinds[:6] == ["compat"] * 6
         assert kinds[6:] == ["wrench"] * 6
 
     def test_zero_offset_degenerates_to_equality(self):
-        block = rigid_link_equations([0, 0, 0], ("i", "j"))
+        block = rigid_link_equations([[0, 0, 0]], [("i", "j")])
         dt = np.array([1.0, 2, 3, 4, 5, 6])
         w = np.array([-1.0, 2, -3, 4, -5, 6])
         r = block_residual(block, {deflection_var("i"): dt, deflection_var("j"): dt,
@@ -191,7 +191,7 @@ class TestRigidLinkEquations:
 
     def test_rigid_field_satisfies_compatibility(self):
         d = np.array([0.7, -0.2, 0.5])
-        block = rigid_link_equations(d, ("i", "j"))
+        block = rigid_link_equations([d], [("i", "j")])
         dt_i = np.array([0.01, 0.02, -0.01, 0.1, -0.2, 0.05])
         D = msakit.transport_matrix(d)
         r = block_residual(block, {deflection_var("i"): dt_i, deflection_var("j"): D @ dt_i,
@@ -200,7 +200,7 @@ class TestRigidLinkEquations:
 
     def test_lever_equilibrium(self):
         d = np.array([2.0, 0.0, 0.0])
-        block = rigid_link_equations(d, ("i", "j"))
+        block = rigid_link_equations([d], [("i", "j")])
         F = np.array([0.0, 30.0, 0.0])
         w_j = np.concatenate([F, np.zeros(3)])
         w_i = np.concatenate([-F, -np.cross(d, F)])
@@ -209,7 +209,7 @@ class TestRigidLinkEquations:
         np.testing.assert_allclose(r, np.zeros(12), atol=1e-12)
 
     def test_rank_twelve_over_24_unknowns(self):
-        block = rigid_link_equations([0.3, 0.4, 0.5], ("i", "j"))
+        block = rigid_link_equations([[0.3, 0.4, 0.5]], [("i", "j")])
         M, variables = block.dense()
         assert M.shape == (12, 24)
         s_max = np.linalg.svd(M, compute_uv=False)[0]
@@ -230,7 +230,7 @@ class TestRigidPlatformEquations:
 
     def test_three_clamp_counts_and_rank(self):
         clamps, _ = self._clamps()
-        block = rigid_platform_equations(clamps, "e")
+        block = rigid_platform_equations([clamps], ["e"])
         assert block.rows == 24
         M, _ = block.dense()
         assert M.shape == (24, 48)
@@ -239,8 +239,8 @@ class TestRigidPlatformEquations:
 
     def test_single_clamp_matches_rigid_link(self):
         d = np.array([0.4, 0.6, -0.1])
-        platform = rigid_platform_equations([("i", d)], "j")
-        link = rigid_link_equations(d, ("i", "j"))
+        platform = rigid_platform_equations([[("i", d)]], ["j"])
+        link = rigid_link_equations([d], [("i", "j")])
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
         P = platform.dense(order)[0]
         L = link.dense(order)[0]
@@ -253,7 +253,7 @@ class TestRigidPlatformEquations:
 
     def test_rigid_body_motion_and_self_equilibrated_wrenches(self):
         clamps, positions = self._clamps()
-        block = rigid_platform_equations(clamps, "e")
+        block = rigid_platform_equations([clamps], ["e"])
         dt_e = np.array([0.01, -0.02, 0.03, 0.004, 0.005, -0.006])
         phi = dt_e[3:]
         values = {deflection_var("e"): dt_e}
@@ -313,7 +313,7 @@ class TestFlexiblePlatformEquations:
 
     def test_satisfied_by_assembled_symmetric_stiffness(self):
         clamps = self._clamps(3)
-        block = flexible_platform_equations(clamps, "e")
+        block = flexible_platform_equations([clamps], ["e"])
         # The platform's 24x24 stiffness over (c0, c1, c2, e), link by link.
         K_p = np.zeros((24, 24))
         for k, (link, _) in enumerate(clamps):
@@ -336,7 +336,7 @@ class TestFlexiblePlatformEquations:
     def test_clamps_held_sum_far_blocks(self):
         clamps = self._clamps(3)
         links = [link for link, _ in clamps]
-        block = flexible_platform_equations(clamps, "e")
+        block = flexible_platform_equations([clamps], ["e"])
         dt_e = np.array([1e-3, 2e-3, -1e-3, 1e-4, -2e-4, 3e-4])
         values = {deflection_var("e"): dt_e, wrench_var("e"): sum(l.K22 for l in links) @ dt_e}
         for link in links:
@@ -353,6 +353,6 @@ class TestFlexiblePlatformEquations:
         assert [k.nodes for k in m.platforms[0].stiffnesses] == [("c0", "e")]
 
     def test_row_category_is_link(self):
-        block = flexible_platform_equations(self._clamps(2), "e")
+        block = flexible_platform_equations([self._clamps(2)], ["e"])
         assert block.rows == 18
         assert set(block.row_kinds()) == {"link"}

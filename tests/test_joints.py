@@ -6,34 +6,33 @@ import numpy as np
 import pytest
 
 import msakit
-from msakit.assembly import _connection_block
 from msakit.core import _joint_stiffness
 from msakit.equations import deflection_var, wrench_var
 from msakit.joints import joint_spec
 
-from helpers import block_residual, section_kwargs
+from helpers import block_residual, connection_block, section_kwargs
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
 
 def rigid_joint(nodes):
-    return _connection_block(joint_spec(kind="rigid", nodes=nodes))
+    return connection_block(joint_spec(kind="rigid", nodes=nodes))
 
 
 def passive_joint(basis, nodes):
-    return _connection_block(joint_spec(kind="passive", nodes=nodes, basis=basis))
+    return connection_block(joint_spec(kind="passive", nodes=nodes, basis=basis))
 
 
 def elastic_joint(basis, stiffness, nodes, preload=None):
     stiffness = _joint_stiffness(stiffness, preload)
-    return _connection_block(joint_spec(kind="elastic", nodes=nodes, basis=basis,
+    return connection_block(joint_spec(kind="elastic", nodes=nodes, basis=basis,
                                         stiffness=stiffness))
 
 
 def junction(rigid_nodes, passive_nodes=()):
     attachments = tuple((node, basis, None) for node, basis in passive_nodes)
     nodes = tuple(rigid_nodes) + tuple(node for node, _, _ in attachments)
-    return _connection_block(msakit.JointSpec("junction", nodes, tuple(rigid_nodes), attachments))
+    return connection_block(msakit.JointSpec("junction", nodes, tuple(rigid_nodes), attachments))
 
 
 class TestRigidJoint:
@@ -166,8 +165,8 @@ class TestElasticJoint:
         zeroed = elastic_joint(RZ, [[75.0]], ("i", "j"), preload=np.zeros(6))
         assert plain.rows == zeroed.rows
         np.testing.assert_array_equal(plain.rhs, zeroed.rhs)
-        for (r1, v1, b1), (r2, v2, b2) in zip(plain.entries, zeroed.entries):
-            assert r1 == r2 and v1 == v2
+        for (r1, k1, s1, b1), (r2, k2, s2, b2) in zip(plain.entries, zeroed.entries):
+            assert r1 == r2 and (k1, s1) == (k2, s2)
             np.testing.assert_array_equal(b1, b2)
 
     def test_preload_along_rigid_directions_warns(self):
@@ -199,7 +198,7 @@ class TestElasticJoint:
 class TestActuatedJoint:
     def test_as_rigid_delegates(self):
         spec = joint_spec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")
-        block = _connection_block(spec)
+        block = connection_block(spec)
         ref = rigid_joint(("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
         np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
@@ -208,7 +207,7 @@ class TestActuatedJoint:
         ks = msakit.JointStiffness([[1e4]])
         spec = joint_spec(kind="actuated", nodes=("i", "j"), basis=RZ,
                           stiffness=ks, idealization="as-elastic")
-        block = _connection_block(spec)
+        block = connection_block(spec)
         ref = elastic_joint(RZ, ks, ("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
         np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
@@ -236,7 +235,7 @@ class TestJointSpec:
             rigid_joint(("i", "j")),
             passive_joint(RZ, ("i", "j")),
             elastic_joint(RZ, [[10.0]], ("i", "j")),
-            _connection_block(
+            connection_block(
                 joint_spec(kind="actuated", nodes=("i", "j"), idealization="as-rigid")),
         ]
         assert all(b.rows == 12 for b in blocks)
@@ -321,7 +320,7 @@ def test_template_spans_the_grouped_rows(name):
         basis = RZ if name == "revolute pin" else msakit.joint_basis_preset("spherical")
         spec = joint_spec(kind="passive", nodes=("i", "j"), basis=basis)
         carrier, attachments = ("j",), ("i",)
-    block = _connection_block(spec)
+    block = connection_block(spec)
     variables = [deflection_var(n) for n in spec.nodes] + [wrench_var(n) for n in spec.nodes]
     new = block.dense(variables)[0]
     old = _grouped_rows(carrier, attachments, basis, variables)
