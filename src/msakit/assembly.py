@@ -156,7 +156,7 @@ class GlobalSystem:
 
 def _link_length(model: Model) -> float:
     """Median length of the model's links, platform links included; 1 with none."""
-    pairs = [link.nodes for link in model.flexible_links] + model.rigid_links
+    pairs = [link.nodes for link in model.flexible_links] + list(model.rigid_links)
     pairs += [link.nodes for p in model.platforms for link in p.stiffnesses or ()]
     d = np.array([model.positions[j] - model.positions[i] for i, j in pairs]).reshape(-1, 3)
     lengths = np.linalg.norm(d, axis=1)[np.any(d, axis=1)]
@@ -167,12 +167,7 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
     """Aggregate the blocks, laid out in one step per family."""
     nodes = list(model.positions.keys())
     n = len(nodes)
-    try:
-        rows, cols, values, bases = layout(blocks, {node: k for k, node in enumerate(nodes)})
-    except KeyError as exc:
-        node, = exc.args
-        source = next(s for b in blocks for s, record in zip(b.sources, b.nodes) if node in record)
-        raise ModelError(f"{source}: unknown node id {node!r}") from None
+    rows, cols, values, bases = layout(blocks, {node: k for k, node in enumerate(nodes)})
     n_rows = sum(len(b.nodes) * b.rows for b in blocks)
 
     # Moment and translation columns times a length; deflection columns over
@@ -218,7 +213,8 @@ def _build_system(model: Model, blocks: list) -> GlobalSystem:
 def _system(model: Model, square: bool = False) -> GlobalSystem:
     """The model's one system, or with `square` that system padded to square
     (see `_square`), kept on the model so that Kc, the loaded solve and the
-    audit share their analyses; records are only appended, so counts date it."""
+    audit share their analyses; records are read-only and only ever appended,
+    so counts date it."""
     key = (model.end_effector, len(model.positions), len(model.flexible_links),
            len(model.rigid_links), len(model.platforms), len(model.connections),
            len(model.supports), len(model.load_points))

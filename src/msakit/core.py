@@ -233,7 +233,7 @@ def joint_basis_preset(name: str) -> JointBasis:
     """Named lower-pair bases: revolute_*, prismatic_*, spherical, universal,
     free; each is built once and shared, as a basis is read-only."""
     if name not in _PRESET_FREE_AXES:
-        raise ModelError(f"unknown joint basis preset {name!r}")
+        raise ModelError(f"unknown joint basis preset {name!r}; one of {', '.join(_PRESET_FREE_AXES)}")
     free = _PRESET_FREE_AXES[name]
     eye = np.eye(6)
     return JointBasis(eye[[i for i in range(6) if i not in free]], eye[free])

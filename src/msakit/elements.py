@@ -68,16 +68,18 @@ class LinkStiffness:
             object.__setattr__(self, "nodes", (i, j))
 
     @classmethod
-    def from_matrix(cls, K, nodes=None, sym_tol: float = USER_MATRIX_SYM_TOL) -> "LinkStiffness":
+    def from_matrix(cls, K, nodes=None) -> "LinkStiffness":
         """Accept a user matrix after a symmetry check, then symmetrize."""
-        K = cls(K).K                     # checks the shape and finiteness
+        link = cls(K, nodes)             # checks the shape, finiteness and nodes
+        K = link.K
         scale = max(np.max(np.abs(K)), 1.0)
-        if np.max(np.abs(K - K.T)) > sym_tol * scale:
+        if np.max(np.abs(K - K.T)) > USER_MATRIX_SYM_TOL * scale:
             raise ModelError("link stiffness asymmetry exceeds the accepted tolerance")
         K = 0.5 * (K + K.T)
         if np.min(np.linalg.eigvalsh(K)) < -1e-7 * scale:
             raise ModelError("link stiffness must be positive semidefinite")
-        return cls(K, nodes)
+        object.__setattr__(link, "K", _freeze(K))
+        return link
 
     def with_nodes(self, i: Hashable, j: Hashable) -> "LinkStiffness":
         return LinkStiffness(self.K, (i, j))

@@ -65,7 +65,8 @@ def joint_spec(kind: str, nodes: Sequence[Hashable], basis: JointBasis | None = 
     acts_as = kind
     if kind == "actuated":
         if idealization not in ACTUATION_IDEALIZATIONS:
-            raise ModelError("actuated joint needs an idealization: 'as-rigid' or 'as-elastic'")
+            raise ModelError("actuated joint needs an idealization, 'as-rigid' or 'as-elastic'; "
+                             f"got {idealization!r}")
         acts_as = idealization.removeprefix("as-")
     elif idealization is not None:
         raise ModelError(f"a {kind} joint takes no idealization; only an actuated joint has one")

@@ -1,24 +1,25 @@
 """Model container: nodes plus the element, joint, boundary and load catalogue.
 
-A Model is a mutable builder; assembly, stiffness extraction and solving live
-in the assembly module and treat the model as read-only. Every invariant of
-an element, connection, support or load point is checked once, by the
-`add_*` call that records it (for joints, by `joints.joint_spec`), and a
-field that a joint's or support's kind would ignore is an error there; the
-emitters trust the model. Joints and junctions alike are recorded as one
-`JointSpec` each, in the terms of the connection template; a flexible link
-must be a free body about its node positions.
+A Model is a builder; assembly, stiffness extraction and solving live in the
+assembly module. Every invariant of a node, element, connection, support or
+load point is checked once, by the `add_*` call that records it (for joints,
+by `joints.joint_spec`), and a field that a joint's or support's kind would
+ignore is an error there; the document reader and the emitters trust the
+model, whose records are read-only. Joints and junctions alike are recorded
+as one `JointSpec` each, in the terms of the connection template; a flexible
+link must be a free body about its node positions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .boundary import SUPPORT_KINDS
-from .core import JointBasis, JointStiffness, _as_vector, _joint_stiffness, transport_matrix
+from .core import JointBasis, JointStiffness, _as_vector, _freeze, _joint_stiffness, transport_matrix
 from .elements import LinkStiffness, _beam_matrix, _check_section
 from .errors import ModelError
 from .joints import JointSpec, _check_spring, joint_spec
@@ -28,6 +29,8 @@ COINCIDENT_TOL = 1e-9
 # Largest ||K[:6] + D^T K[6:]|| / ||K|| of a free-body link (D the transport of
 # its node offset); long chains and loops amplify the defect, so it is tight.
 FREE_BODY_RTOL = 1e-12
+# Record lists: `add_*` appends in O(1), and each read returns a tuple copy.
+_LISTS = ("flexible_links", "rigid_links", "platforms", "connections")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,40 +54,46 @@ class Model:
 
     Nodes carry positions; links, platforms, joints, supports and load points
     reference them by id. Insertion order is preserved so assembled systems
-    are reproducible. Records change only through `add_*`, which appends.
+    are reproducible. Records are appended by `add_*` alone; every other
+    caller reads them as tuples, read-only mappings and frozen positions.
     """
 
     def __init__(self):
-        self.positions: dict = {}
-        self.flexible_links: list[LinkStiffness] = []
-        self.rigid_links: list[tuple] = []
-        self.platforms: list[PlatformSpec] = []
-        self.connections: list = []          # JointSpec, in insertion order
-        self.supports: dict = {}             # node -> SupportSpec
-        self.load_points: dict = {}          # end node -> tuple of incident nodes
+        self._positions: dict = {}           # node -> position
+        self._supports: dict = {}            # node -> SupportSpec
+        self._load_points: dict = {}         # end node -> tuple of incident nodes
+        self._lists = {name: [] for name in _LISTS}     # records in insertion order
         self.end_effector: Hashable | None = None
         self._extent = 1.0                   # max(1, largest |coordinate| of any node)
         self._system = None                  # (counts, system, padded system) of assembly._system
 
+    positions = property(lambda self: MappingProxyType(self._positions))
+    supports = property(lambda self: MappingProxyType(self._supports))
+    load_points = property(lambda self: MappingProxyType(self._load_points))
+    flexible_links = property(lambda self: tuple(self._lists["flexible_links"]))
+    rigid_links = property(lambda self: tuple(self._lists["rigid_links"]))
+    platforms = property(lambda self: tuple(self._lists["platforms"]))
+    connections = property(lambda self: tuple(self._lists["connections"]))
+
     # -- nodes ----------------------------------------------------------
 
     def add_node(self, node: Hashable, position) -> None:
-        if node in self.positions:
+        if node in self._positions:
             raise ModelError(f"node {node!r} already declared")
-        self.positions[node] = p = _as_vector(position, 3, f"position of {node!r}")
+        self._positions[node] = p = _freeze(_as_vector(position, 3, f"position of {node!r}"))
         self._extent = max(self._extent, *map(abs, p.tolist()))
 
     def position_of(self, node: Hashable) -> np.ndarray:
         self._require_nodes([node])
-        return self.positions[node]
+        return self._positions[node]
 
     def _require_nodes(self, nodes) -> None:
         for node in nodes:
-            if node not in self.positions:
+            if node not in self._positions:
                 raise ModelError(f"unknown node id {node!r}")
 
     def _require_coincident(self, nodes, what: str) -> None:
-        pts = [self.positions[n].tolist() for n in nodes]
+        pts = [self._positions[n].tolist() for n in nodes]
         spread = max(math.dist(p, pts[0]) for p in pts)
         if spread > COINCIDENT_TOL * self._extent:
             raise ModelError(f"{what} nodes must be coincident (offset {spread:.3e}); "
@@ -94,7 +103,7 @@ class Model:
 
     def _require_free_body(self, link: LinkStiffness) -> None:
         i, j = link.nodes
-        D = transport_matrix(self.positions[j] - self.positions[i])
+        D = transport_matrix(self._positions[j] - self._positions[i])
         norm = float(np.linalg.norm(link.K))
         defect = float(np.linalg.norm(link.K[:6] + D.T @ link.K[6:]))
         if defect > FREE_BODY_RTOL * norm:
@@ -103,14 +112,12 @@ class Model:
                              "as an elastic support instead")
 
     def add_flexible_link(self, i: Hashable, j: Hashable, K) -> LinkStiffness:
-        """Attach a 12x12 global-frame free-body stiffness between nodes i and j."""
+        """Attach a 12x12 global-frame free-body stiffness (a matrix or a
+        LinkStiffness) between nodes i and j."""
         self._require_nodes([i, j])
-        if isinstance(K, LinkStiffness):
-            link = K if K.nodes == (i, j) else K.with_nodes(i, j)
-        else:
-            link = LinkStiffness.from_matrix(K, (i, j))
+        link = LinkStiffness.from_matrix(getattr(K, "K", K), (i, j))
         self._require_free_body(link)
-        self.flexible_links.append(link)
+        self._lists["flexible_links"].append(link)
         return link
 
     def add_beam(self, i: Hashable, j: Hashable, *, E, G, A, Iy, Iz, J) -> LinkStiffness:
@@ -120,20 +127,20 @@ class Model:
         rotated into the global frame before it is stored.
         """
         self._require_nodes([i, j])
-        d = self.positions[j] - self.positions[i]
+        d = self._positions[j] - self._positions[i]
         L = math.sqrt(d.dot(d))
         if L <= 0.0:
             raise ModelError(f"beam ({i!r},{j!r}) has zero length")
         _check_section(E=E, G=G, A=A, L=L, Iy=Iy, Iz=Iz, J=J)
         link = LinkStiffness(_beam_matrix(E, G, A, L, Iy, Iz, J, d), (i, j))   # a free body
-        self.flexible_links.append(link)
+        self._lists["flexible_links"].append(link)
         return link
 
     def add_rigid_link(self, i: Hashable, j: Hashable) -> None:
         self._require_nodes([i, j])
         if i == j:
             raise ModelError("rigid link end nodes must differ")
-        self.rigid_links.append((i, j))
+        self._lists["rigid_links"].append((i, j))
 
     def add_rigid_platform(self, clamps: Sequence[Hashable], end: Hashable) -> None:
         clamps = tuple(clamps)
@@ -144,23 +151,21 @@ class Model:
             raise ModelError("duplicate clamp node ids on rigid platform")
         if end in clamps:
             raise ModelError("platform end node cannot also be a clamp")
-        self.platforms.append(PlatformSpec(kind="rigid", clamps=clamps, end=end))
+        self._lists["platforms"].append(PlatformSpec(kind="rigid", clamps=clamps, end=end))
 
     def add_flexible_platform(self, clamp_stiffness: Mapping, end: Hashable) -> None:
-        """Platform from free-body virtual links: {clamp node: 12x12 matrix}."""
+        """Platform from free-body virtual links: {clamp node: 12x12 matrix
+        or LinkStiffness}."""
         clamps = tuple(clamp_stiffness.keys())
         self._require_nodes(list(clamps) + [end])
         if not clamps:
             raise ModelError("flexible platform needs at least one virtual link")
-        links = tuple(
-            K if isinstance(K, LinkStiffness) and K.nodes == (c, end)
-            else LinkStiffness.from_matrix(K.K if isinstance(K, LinkStiffness) else K, (c, end))
-            for c, K in clamp_stiffness.items()
-        )
+        links = tuple(LinkStiffness.from_matrix(getattr(K, "K", K), (c, end))
+                      for c, K in clamp_stiffness.items())
         for link in links:
             self._require_free_body(link)
-        self.platforms.append(PlatformSpec(kind="flexible", clamps=clamps, end=end,
-                                           stiffnesses=links))
+        self._lists["platforms"].append(PlatformSpec(kind="flexible", clamps=clamps, end=end,
+                                                     stiffnesses=links))
 
     @staticmethod
     def _stiffness(stiffness, preload) -> JointStiffness | None:
@@ -177,7 +182,7 @@ class Model:
         self._require_nodes(nodes)
         spec = joint_spec(kind, nodes, basis, self._stiffness(stiffness, preload), idealization)
         self._require_coincident(spec.nodes, f"joint {spec.nodes}")
-        self.connections.append(spec)
+        self._lists["connections"].append(spec)
         return spec
 
     def add_junction(self, rigid_nodes: Sequence[Hashable],
@@ -198,7 +203,7 @@ class Model:
                              "weld extra nodes into the carrier group instead")
         self._require_coincident(nodes, "junction")
         spec = JointSpec("junction", nodes, carrier, attachments)
-        self.connections.append(spec)
+        self._lists["connections"].append(spec)
         return spec
 
     # -- boundary ----------------------------------------------------------
@@ -206,10 +211,10 @@ class Model:
     def add_support(self, node: Hashable, kind: str = "rigid",
                     basis: JointBasis | None = None, stiffness=None, preload=None) -> None:
         self._require_nodes([node])
-        if node in self.supports:
+        if node in self._supports:
             raise ModelError(f"node {node!r} already carries a support; "
                              "compose behaviors through an intermediate node and a joint")
-        if node in self.load_points:
+        if node in self._load_points:
             raise ModelError(f"node {node!r} is a load point and cannot also be supported")
         if kind not in SUPPORT_KINDS:
             raise ModelError(f"unknown support kind {kind!r}")
@@ -229,7 +234,7 @@ class Model:
                                  "model a free end with a load node instead")
         if kind == "elastic":
             _check_spring(basis, stiffness, "support")
-        self.supports[node] = SupportSpec(node=node, kind=kind, basis=basis, stiffness=stiffness)
+        self._supports[node] = SupportSpec(node=node, kind=kind, basis=basis, stiffness=stiffness)
 
     def add_load_point(self, end_node: Hashable, incident_nodes: Sequence[Hashable] | None = None) -> None:
         """Declare a node where an external wrench may be applied.
@@ -243,11 +248,11 @@ class Model:
             raise ModelError("a load point needs at least one incident node")
         if len(set(nodes)) != len(nodes):
             raise ModelError("duplicate node ids at load point")
-        if end_node in self.supports:
+        if end_node in self._supports:
             raise ModelError(f"node {end_node!r} is supported and cannot carry a load point")
-        if end_node in self.load_points:
+        if end_node in self._load_points:
             raise ModelError(f"node {end_node!r} already is a load point")
-        self.load_points[end_node] = nodes
+        self._load_points[end_node] = nodes
 
     def set_end_effector(self, node: Hashable,
                          incident_nodes: Sequence[Hashable] | None = None) -> None:
@@ -255,7 +260,7 @@ class Model:
         if self.end_effector is not None:
             raise ModelError("end effector already set")
         self.end_effector = node
-        if node not in self.load_points:
+        if node not in self._load_points:
             self.add_load_point(node, incident_nodes)
 
     # -- analysis conveniences (delegating to assembly) ---------------------
@@ -288,23 +293,17 @@ class Model:
 
     def _query_variant(self, end: Hashable) -> "Model":
         self._require_nodes([end])
-        if end in self.load_points and end not in self.supports:
+        if end in self._load_points and end not in self._supports:
             return self
         m = self.copy()
-        m.supports.pop(end, None)
-        if end not in m.load_points:
-            m.load_points[end] = (end,)
+        m._supports.pop(end, None)
+        m._load_points.setdefault(end, (end,))
         return m
 
     def copy(self) -> "Model":
         m = Model()
-        m.positions = dict(self.positions)
-        m.flexible_links = list(self.flexible_links)
-        m.rigid_links = list(self.rigid_links)
-        m.platforms = list(self.platforms)
-        m.connections = list(self.connections)
-        m.supports = dict(self.supports)
-        m.load_points = dict(self.load_points)
-        m.end_effector = self.end_effector
-        m._extent = self._extent
+        m._positions, m._supports = dict(self._positions), dict(self._supports)
+        m._load_points = dict(self._load_points)
+        m._lists = {name: list(records) for name, records in self._lists.items()}
+        m.end_effector, m._extent = self.end_effector, self._extent
         return m

@@ -1,7 +1,10 @@
-"""Declarative model documents: JSON parsing, validation and serialization.
+"""Declarative model documents: JSON parsing and serialization.
 
 Documents use SI units throughout and row-major nested lists for matrices.
-Node ids are strings. Parse errors carry the path of the offending field.
+Node ids are strings. The reader checks structure and types only, and a
+structural error carries the path of the offending field; the builder checks
+everything else once, as `ModelDocument.to_model` builds the model, and its
+error carries the path of the entry, such as `$.joints[2]`.
 """
 from __future__ import annotations
 
@@ -12,11 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .boundary import SUPPORT_KINDS
-from .core import JOINT_BASIS_PRESETS, JointStiffness, joint_basis_preset, make_joint_basis
-from .elements import LinkStiffness
+from .core import joint_basis_preset, make_joint_basis
 from .errors import FormatError
-from .joints import ACTUATION_IDEALIZATIONS, JOINT_KINDS
 from .model import Model
 
 _LINK_TYPES = ("beam", "flexible", "rigid")
@@ -24,7 +24,8 @@ _LINK_TYPES = ("beam", "flexible", "rigid")
 
 @dataclass
 class ModelDocument:
-    """Validated, normalized model description (plain lists and dicts)."""
+    """Normalized model description (plain lists and dicts) of a well-formed
+    document; its semantics are checked by `to_model`."""
 
     nodes: list = field(default_factory=list)
     links: list = field(default_factory=list)
@@ -44,10 +45,11 @@ class ModelDocument:
         it, such as `$.joints[2]`.
         """
         m = Model()
-        for entry in self.nodes:
-            m.add_node(entry["id"], entry["position"])
         path = "$"
         try:
+            for k, entry in enumerate(self.nodes):
+                path = f"$.nodes[{k}]"
+                m.add_node(entry["id"], entry["position"])
             for k, entry in enumerate(self.links):
                 path = f"$.links[{k}]"
                 kind = entry["type"]
@@ -108,7 +110,7 @@ def _basis_object(spec):
 # ---------------------------------------------------------------------------
 
 class _Reader:
-    """Validating walker over parsed JSON with path-carrying errors."""
+    """Walker over parsed JSON that checks structure and types, with path-carrying errors."""
 
     def __init__(self, data: Any, path: str = "$"):
         self.data = data
@@ -172,40 +174,29 @@ class _Reader:
 
 
 def _parse_basis(reader: _Reader):
+    """A preset name, or the rows of an explicit basis."""
     if isinstance(reader.data, str):
-        name = reader.string()
-        if name not in JOINT_BASIS_PRESETS:
-            reader.fail(f"unknown joint basis preset {name!r}; "
-                        f"one of {', '.join(JOINT_BASIS_PRESETS)}")
-        return name
+        return reader.string()
     reader.require_keys(allowed=("rigid", "free"), required=("rigid", "free"))
-    rigid = [r.vector(6) for r in reader.child("rigid").items()]
-    free = [r.vector(6) for r in reader.child("free").items()]
-    try:
-        make_joint_basis(rigid, free)
-    except ValueError as exc:
-        reader.fail(str(exc))
-    return {"rigid": rigid, "free": free}
+    return {key: [r.vector(6) for r in reader.child(key).items()] for key in ("rigid", "free")}
 
 
 def _read_spring(r: _Reader, entry: dict) -> dict:
-    """`entry` with the basis, spring matrix (checked as JointStiffness checks
-    it) and preload of a joint or support, where the document gives them."""
+    """`entry` with the basis, spring matrix and preload of a joint or
+    support, where the document gives them."""
     if "basis" in r.data:
         entry["basis"] = _parse_basis(r.child("basis"))
     if "stiffness" in r.data:
         entry["stiffness"] = r.child("stiffness").matrix()
-        try:
-            JointStiffness(np.array(entry["stiffness"]))
-        except ValueError as exc:
-            r.child("stiffness").fail(str(exc))
     if "preload" in r.data:
         entry["preload"] = r.child("preload").vector(6)
     return entry
 
 
 def parse_model(text: str) -> ModelDocument:
-    """Parse and validate a model document; raises FormatError with a path."""
+    """Parse a model document and check its structure and types; raises
+    FormatError with the path of the offending field. The model's semantics
+    are checked by `ModelDocument.to_model`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -216,19 +207,10 @@ def parse_model(text: str) -> ModelDocument:
         required=("nodes", "end_effector"),
     )
     doc = ModelDocument()
-    node_ids: set = set()
     for r in root.child("nodes").items():
         r.require_keys(allowed=("id", "position"), required=("id", "position"))
-        nid = r.child("id").string()
-        if nid in node_ids:
-            r.fail(f"duplicate node id {nid!r}")
-        node_ids.add(nid)
-        doc.nodes.append({"id": nid, "position": r.child("position").vector(3)})
-
-    def known(r: _Reader, nid) -> str:
-        if nid not in node_ids:
-            r.fail(f"unknown node id {nid!r}")
-        return nid
+        doc.nodes.append({"id": r.child("id").string(),
+                          "position": r.child("position").vector(3)})
 
     if "links" in data:
         for r in root.child("links").items():
@@ -240,8 +222,7 @@ def parse_model(text: str) -> ModelDocument:
             nr = r.child("nodes")
             if not isinstance(nr.data, list) or len(nr.data) != 2:
                 nr.fail("expected a pair of node ids")
-            nodes = [known(nr, n.string()) for n in nr.items()]
-            entry = {"type": kind, "nodes": nodes}
+            entry = {"type": kind, "nodes": [n.string() for n in nr.items()]}
             if kind == "beam":
                 sr = r.child("section")
                 sr.require_keys(allowed=("E", "G", "A", "Iy", "Iz", "J"),
@@ -250,12 +231,7 @@ def parse_model(text: str) -> ModelDocument:
             elif kind == "flexible":
                 if "stiffness" not in r.data:
                     r.fail("flexible link needs a 12x12 stiffness matrix")
-                K = r.child("stiffness").matrix(12, 12)
-                try:
-                    LinkStiffness.from_matrix(np.array(K))
-                except ValueError as exc:
-                    r.child("stiffness").fail(str(exc))
-                entry["stiffness"] = K
+                entry["stiffness"] = r.child("stiffness").matrix(12, 12)
             doc.links.append(entry)
 
     if "platforms" in data:
@@ -265,8 +241,8 @@ def parse_model(text: str) -> ModelDocument:
             kind = r.child("type").string()
             if kind not in ("rigid", "flexible"):
                 r.child("type").fail(f"unknown platform type {kind!r}")
-            clamps = [known(r, c.string()) for c in r.child("clamps").items()]
-            entry = {"type": kind, "clamps": clamps, "end": known(r, r.child("end").string())}
+            clamps = [c.string() for c in r.child("clamps").items()]
+            entry = {"type": kind, "clamps": clamps, "end": r.child("end").string()}
             if kind == "flexible":
                 if "stiffness" not in r.data:
                     r.fail("flexible platform needs one 12x12 matrix per clamp")
@@ -281,49 +257,41 @@ def parse_model(text: str) -> ModelDocument:
             if not isinstance(r.data, dict) or "type" not in r.data:
                 r.fail("joint entry needs a type")
             kind = r.child("type").string()
-            if kind not in JOINT_KINDS + ("junction",):
-                r.child("type").fail(f"unknown joint type {kind!r}")
             if kind == "junction":
                 r.require_keys(allowed=("type", "rigid_nodes", "passive_nodes"),
                                required=("type", "rigid_nodes"))
-                rigid = [known(r, n.string()) for n in r.child("rigid_nodes").items()]
+                rigid = [n.string() for n in r.child("rigid_nodes").items()]
                 passive = []
                 if "passive_nodes" in r.data:
                     for p in r.child("passive_nodes").items():
                         p.require_keys(allowed=("node", "basis"), required=("node", "basis"))
-                        passive.append({"node": known(p, p.child("node").string()),
+                        passive.append({"node": p.child("node").string(),
                                         "basis": _parse_basis(p.child("basis"))})
                 doc.joints.append({"type": kind, "rigid_nodes": rigid, "passive_nodes": passive})
                 continue
             r.require_keys(allowed=("type", "nodes", "basis", "stiffness", "preload",
                                     "idealization"),
                            required=("type", "nodes"))
-            nodes = [known(r, n.string()) for n in r.child("nodes").items()]
+            nodes = [n.string() for n in r.child("nodes").items()]
             entry = _read_spring(r, {"type": kind, "nodes": nodes})
             if "idealization" in r.data:
-                ideal = r.child("idealization").string()
-                if ideal not in ACTUATION_IDEALIZATIONS:
-                    r.child("idealization").fail(f"unknown idealization {ideal!r}")
-                entry["idealization"] = ideal
+                entry["idealization"] = r.child("idealization").string()
             doc.joints.append(entry)
 
     if "supports" in data:
         for r in root.child("supports").items():
             r.require_keys(allowed=("node", "type", "basis", "stiffness", "preload"),
                            required=("node", "type"))
-            kind = r.child("type").string()
-            if kind not in SUPPORT_KINDS:
-                r.child("type").fail(f"unknown support type {kind!r}")
             doc.supports.append(_read_spring(
-                r, {"node": known(r, r.child("node").string()), "type": kind}))
+                r, {"node": r.child("node").string(), "type": r.child("type").string()}))
 
     if "loads" in data:
         for r in root.child("loads").items():
             r.require_keys(allowed=("node", "wrench"), required=("node", "wrench"))
-            doc.loads.append({"node": known(r, r.child("node").string()),
+            doc.loads.append({"node": r.child("node").string(),
                               "wrench": r.child("wrench").vector(6)})
 
-    doc.end_effector = known(root.child("end_effector"), root.child("end_effector").string())
+    doc.end_effector = root.child("end_effector").string()
     return doc
 
 

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Hashable
 
 import numpy as np
 
 from .core import (JointStiffness, _rotate_blocks, block_rotation, joint_basis_preset,
                    rotation_matrix, transport_matrix)
-from .elements import LinkStiffness
 from .errors import ModelError
-from .model import Model, PlatformSpec
+from .model import Model
 
 
 def tube_properties(outer_diameter: float, wall: float) -> tuple:
@@ -313,7 +312,7 @@ def oracle_serial_vjm(model: Model, end: Hashable | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rotated_model(model: Model, R) -> Model:
-    """The same structure expressed in a frame rotated by R.
+    """The same structure expressed in a frame rotated by R, built through `add_*`.
 
     Node positions, link matrices, joint bases, support bases and preloads
     are all conjugated; platform offsets follow the positions automatically.
@@ -323,25 +322,29 @@ def rotated_model(model: Model, R) -> Model:
     for node, pos in model.positions.items():
         out.add_node(node, R @ pos)
     for link in model.flexible_links:
-        out.flexible_links.append(LinkStiffness(_rotate_blocks(link.K, R), link.nodes))
-    out.rigid_links = list(model.rigid_links)
+        out.add_flexible_link(*link.nodes, _rotate_blocks(link.K, R))
+    for i, j in model.rigid_links:
+        out.add_rigid_link(i, j)
     for platform in model.platforms:
         if platform.kind == "rigid":
-            out.platforms.append(platform)
+            out.add_rigid_platform(platform.clamps, platform.end)
         else:
-            rotated = tuple(LinkStiffness(_rotate_blocks(k.K, R), k.nodes)
-                            for k in platform.stiffnesses)
-            out.platforms.append(PlatformSpec(kind="flexible", clamps=platform.clamps,
-                                              end=platform.end, stiffnesses=rotated))
+            out.add_flexible_platform({link.nodes[0]: _rotate_blocks(link.K, R)
+                                       for link in platform.stiffnesses}, platform.end)
     for spec in model.connections:
-        out.connections.append(replace(spec, attachments=tuple(
-            (node, basis.rotated(R), _rotated_preload(stiffness, R))
-            for node, basis, stiffness in spec.attachments)))
+        attached = [(node, basis.rotated(R), _rotated_preload(stiffness, R))
+                    for node, basis, stiffness in spec.attachments]
+        if spec.kind == "junction":
+            out.add_junction(spec.carrier, [(node, basis) for node, basis, _ in attached])
+        else:
+            _, basis, stiffness = attached[0] if attached else (None, None, None)
+            out.add_joint(spec.kind, spec.nodes, basis, stiffness, idealization=spec.idealization)
     for support in model.supports.values():
         basis = None if support.basis is None else support.basis.rotated(R)
-        out.supports[support.node] = replace(
-            support, basis=basis, stiffness=_rotated_preload(support.stiffness, R))
-    out.load_points = dict(model.load_points)
+        out.add_support(support.node, support.kind, basis,
+                        _rotated_preload(support.stiffness, R))
+    for end, nodes in model.load_points.items():
+        out.add_load_point(end, nodes)
     out.end_effector = model.end_effector
     return out
 

@@ -352,14 +352,23 @@ class TestCartesianStiffness:
         assert state.residual <= 1e-9
 
     def test_asymmetric_model_is_surfaced(self):
-        # A link matrix whose far block breaks reciprocity beyond roundoff;
-        # the extraction gate must reject the model rather than hide it.
-        model, link = cantilever()
+        # A free-body link matrix whose far block breaks reciprocity beyond
+        # roundoff (relative asymmetry 6e-7): symmetrized, it is no longer a
+        # free body, so the builder rejects it on either route, as a matrix
+        # or as a LinkStiffness, for a link and for a platform's link alike.
+        _, link = cantilever()
         K = link.K.copy()
         K[7, 11] *= 1 + 1e-4
-        model.flexible_links[0] = msakit.LinkStiffness(K, ("a", "b"))
-        with pytest.raises(msakit.ModelError, match="asymmetry"):
-            model.cartesian_stiffness()
+        K[:6] = -msakit.transport_matrix([1.0, 0, 0]).T @ K[6:]
+        for stiffness in (K, msakit.LinkStiffness(K, ("a", "b"))):
+            for add in (lambda m: m.add_flexible_link("a", "b", stiffness),
+                        lambda m: m.add_flexible_platform({"a": stiffness}, "b")):
+                model = msakit.Model()
+                model.add_node("a", [0, 0, 0])
+                model.add_node("b", [1.0, 0, 0])
+                with pytest.raises(msakit.ModelError, match=r"link\(a,b\) is not a free body"):
+                    add(model)
+                assert model.flexible_links == model.platforms == ()
 
 
 class TestSolveLoaded:
@@ -617,6 +626,30 @@ class TestSharedFactorization:
         model.solve([0.0, 0.0, 10.0, 0.0, 0.0, 1.0])
         model.check()
         assert len(factorizations) == 1
+
+    def test_records_are_read_only(self):
+        # Record counts date the kept system, so records change only through
+        # add_*: an edit in place raises and leaves the model as it was.
+        m, link = cantilever()
+        nav = msakit.build_navaro()
+        kc, kc_nav = m.cartesian_stiffness().kc, nav.cartesian_stiffness().kc
+        with pytest.raises(TypeError):
+            del m.positions["b"]
+        with pytest.raises(AttributeError):
+            nav.platforms.pop()
+        with pytest.raises(TypeError):
+            m.flexible_links[0] = msakit.LinkStiffness(2.0 * link.K, ("a", "b"))
+        with pytest.raises(AttributeError):
+            m.supports.pop("a")
+        with pytest.raises(AttributeError):
+            m.supports = {}
+        with pytest.raises(ValueError, match="read-only"):
+            m.positions["b"][0] = 2.0
+        assert list(m.positions) == ["a", "b"] and m.positions["b"][0] == 1.0
+        assert m.flexible_links == (link,) and list(m.supports) == ["a"]
+        assert len(nav.platforms) == 1
+        np.testing.assert_array_equal(m.cartesian_stiffness().kc, kc)
+        np.testing.assert_array_equal(nav.cartesian_stiffness().kc, kc_nav)
 
 
 class TestQueries:

@@ -221,4 +221,4 @@ def test_non_finite_joint_data_rejected_when_added(stiffness, basis):
     m.add_node("c", [1.0, 0, 0])
     with pytest.raises(ValueError, match="non-finite"):
         m.add_joint("elastic", ("b", "c"), basis=basis(), stiffness=stiffness())
-    assert m.connections == []
+    assert m.connections == ()

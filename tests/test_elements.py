@@ -165,13 +165,13 @@ class TestFreeBodyGate:
         m, link = self._stretched()
         with pytest.raises(msakit.ModelError, match=r"link\(i,j\).*elastic support"):
             m.add_flexible_link("i", "j", link)
-        assert m.flexible_links == []
+        assert m.flexible_links == ()
 
     def test_flexible_platform_link_rejected(self):
         m, link = self._stretched()
         with pytest.raises(msakit.ModelError, match=r"link\(i,j\).*elastic support"):
             m.add_flexible_platform({"i": link}, "j")
-        assert m.platforms == []
+        assert m.platforms == ()
 
 
 class TestRigidLinkEquations:

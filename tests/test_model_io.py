@@ -44,16 +44,17 @@ class TestParse:
     def test_unknown_node_in_joint_has_field_path(self):
         data = cantilever_doc()
         data["joints"] = [{"type": "rigid", "nodes": ["a", "zz"]}]
-        with pytest.raises(msakit.FormatError) as err:
-            msakit.parse_model(json.dumps(data))
-        assert "$.joints[0]" in err.value.path
+        with pytest.raises(msakit.FormatError, match="unknown node id 'zz'") as err:
+            msakit.parse_model(json.dumps(data)).to_model()
+        assert err.value.path == "$.joints[0]"
 
     def test_unknown_preset_rejected(self):
         data = cantilever_doc()
         data["supports"][0] = {"node": "a", "type": "passive", "basis": "helical_z"}
-        with pytest.raises(msakit.FormatError) as err:
-            msakit.parse_model(json.dumps(data))
-        assert "basis" in err.value.path
+        with pytest.raises(msakit.FormatError,
+                           match="unknown joint basis preset 'helical_z'") as err:
+            msakit.parse_model(json.dumps(data)).to_model()
+        assert err.value.path == "$.supports[0]"
 
     def test_wrong_matrix_shape_rejected(self):
         data = cantilever_doc()
@@ -79,21 +80,22 @@ class TestParse:
             msakit.parse_model(json.dumps(data))
         assert err.value.path.startswith(f"$.joints[0].{field}")
 
-    @pytest.mark.parametrize("where, entry, matrix", [
+    @pytest.mark.parametrize("where, entry, matrix, cause", [
         ("joints", {"type": "elastic", "nodes": ["b", "c"], "basis": "universal"},
-         [[1.0, 2.0], [0.0, 1.0]]),
-        ("joints", {"type": "elastic", "nodes": ["b", "c"], "basis": "revolute_z"}, [[-5.0]]),
+         [[1.0, 2.0], [0.0, 1.0]], "must be symmetric"),
+        ("joints", {"type": "elastic", "nodes": ["b", "c"], "basis": "revolute_z"}, [[-5.0]],
+         "must be positive definite"),
         ("supports", {"node": "c", "type": "elastic", "basis": "universal"},
-         [[1.0, 2.0], [2.0, 1.0]]),
+         [[1.0, 2.0], [2.0, 1.0]], "must be positive definite"),
     ], ids=["asymmetric-joint", "negative-joint", "indefinite-support"])
-    def test_spring_matrix_checked_at_parse_time(self, where, entry, matrix):
+    def test_spring_matrix_checked_when_the_model_is_built(self, where, entry, matrix, cause):
         data = cantilever_doc()
         data["nodes"].append({"id": "c", "position": [1.0, 0.0, 0.0]})
         data[where] = data.get(where, []) + [{**entry, "stiffness": matrix}]
-        with pytest.raises(msakit.FormatError) as err:
-            msakit.parse_model(json.dumps(data))
+        with pytest.raises(msakit.FormatError, match=f"joint stiffness matrix {cause}") as err:
+            msakit.parse_model(json.dumps(data)).to_model()
         index = len(data[where]) - 1
-        assert err.value.path == f"$.{where}[{index}].stiffness"
+        assert err.value.path == f"$.{where}[{index}]"
 
     def test_asymmetric_matrix_rejected(self):
         K = msakit.beam_stiffness(
@@ -101,8 +103,9 @@ class TestParse:
         K[0, 1] += 0.01 * np.abs(K).max()
         data = cantilever_doc()
         data["links"][0] = {"type": "flexible", "nodes": ["a", "b"], "stiffness": K.tolist()}
-        with pytest.raises(msakit.FormatError):
-            msakit.parse_model(json.dumps(data))
+        with pytest.raises(msakit.FormatError, match="link stiffness asymmetry") as err:
+            msakit.parse_model(json.dumps(data)).to_model()
+        assert err.value.path == "$.links[0]"
 
     def test_link_off_its_nodes_is_a_format_error_at_its_entry(self):
         # A 1 m beam matrix between nodes 1.01 m apart is not a free body there.
@@ -134,8 +137,9 @@ class TestParse:
     def test_duplicate_node_ids_rejected(self):
         data = cantilever_doc()
         data["nodes"].append({"id": "a", "position": [2.0, 0.0, 0.0]})
-        with pytest.raises(msakit.FormatError):
-            msakit.parse_model(json.dumps(data))
+        with pytest.raises(msakit.FormatError, match="node 'a' already declared") as err:
+            msakit.parse_model(json.dumps(data)).to_model()
+        assert err.value.path == "$.nodes[2]"
 
 
 # Joints and supports that carry a field their kind ignores: (the add call,
