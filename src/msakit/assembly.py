@@ -63,20 +63,22 @@ def _emit_blocks(model: Model) -> list:
         return emit([list(zip(p.stiffnesses or p.clamps, [P[p.end] - P[c] for c in p.clamps]))
                      for p in group], [p.end for p in group])
 
+    def connections(group):                    # (carrier, attachments, source) records
+        return _joints.connection_equations(*zip(*group))
+
+    def attached(record):                      # carrier size, (r, spring or pin) per attachment
+        return len(record[0]), tuple((b.r, k is None) for _, b, k in record[1])
+
     families = (  # records, the layout of a record (p = 6 - r), the family's emitter
         (model.flexible_links, None,
          lambda g: E.flexible_link_equations(g, offsets([link.nodes for link in g]))),
         (model.rigid_links, None, lambda g: E.rigid_link_equations(offsets(g), g)),
         (model.platforms, lambda p: (p.kind, len(p.clamps)), platforms),
-        (model.connections,
-         lambda c: (len(c.carrier), tuple((b.r, k is None) for _, b, k in c.attachments)),
-         lambda g: _joints.connection_equations([c.carrier for c in g], [c.attachments for c in g],
-                                                [_connection_source(c) for c in g])),
-        (list(model.supports.values()), lambda s: (s.kind, s.basis and s.basis.r),
-         lambda g: B.support_equations([s.node for s in g], [s.basis or B.CLAMP for s in g],
-                                       [s.stiffness for s in g])),
-        (list(model.load_points.items()), lambda item: len(item[1]),
-         lambda g: B.external_load_equations([nodes for _, nodes in g], [end for end, _ in g])),
+        ([(c.carrier, c.attachments, _connection_source(c)) for c in model.connections],
+         attached, connections),
+        ([((), ((s.node, s.basis or B.CLAMP, s.stiffness),), f"support@{s.node}")
+          for s in model.supports.values()], attached, connections),     # the ground as carrier
+        (model.load_points, None, B.external_load_equations),
     )
     blocks: list[EquationBlock] = []
     start = 0                                  # catalogue position of the next records
@@ -231,8 +233,8 @@ def assemble(model: Model) -> GlobalSystem:
     carries a per-source row breakdown to make miscounts findable), a node
     that two connections claim, a node that only one block touches (a
     free link end: its wrench rows are missing even where the count closes)
-    or a support on a node that no link or platform touches (its wrench
-    would be the connection's effort, not the reaction).
+    or a support or load point on a node that no link or platform touches
+    (its wrench would be the connection's effort, not the reaction or load).
     """
     if not model.positions:
         raise ModelError("model has no nodes")
@@ -260,10 +262,10 @@ def assemble(model: Model) -> GlobalSystem:
                          "give each a connection, a support or a load point")
     link_ends = {node for link in model.flexible_links for node in link.nodes}
     link_ends.update(*model.rigid_links, *(p.clamps + (p.end,) for p in model.platforms))
-    unlinked = [node for node in model.supports if node not in link_ends]
+    unlinked = [node for node in (*model.supports, *model.load_points) if node not in link_ends]
     if unlinked:
-        raise ModelError(f"supports on nodes that no link or platform touches: {unlinked!r}; "
-                         "support a link end instead")
+        raise ModelError("supports or load points on nodes that no link or platform touches: "
+                         f"{unlinked!r}; support or load a link end instead")
     return system
 
 

@@ -1,15 +1,17 @@
-"""Supports and external load equilibrium rows.
+"""Supports, load points and reaction recovery.
 
 A support grounds one link end through the connection template of the
-joints module, with the ground as carrier: its basis splits the six
-directions into rigid ones, held at zero deflection, and free ones, whose
-rows read Lf W_j + Ke Lf dt_j = Lf W0 (no spring term for a pin). A clamp
-is the all-rigid basis `CLAMP`. Every support contributes six rows. Support
-wrenches are the efforts the ground applies to the supported link end.
+joints module, with the ground, an empty carrier, on the other side: its
+basis splits the six directions into rigid ones, held at zero deflection,
+and free ones, whose rows read Lf W_j + Ke Lf dt_j = Lf W0 (no spring term
+for a pin). A clamp is the all-rigid basis `CLAMP`. Every support
+contributes six rows. Support wrenches are the efforts the ground applies to
+the supported link end. A load point is one link-end node whose wrench
+equals the applied one.
 
 `Model.add_support` and `Model.add_load_point` check each support and load
-point once, when the model records it; the emitters trust their input and
-raise nothing.
+point once, when the model records it; the emitter trusts its input and
+raises nothing.
 """
 from __future__ import annotations
 
@@ -27,33 +29,11 @@ SUPPORT_KINDS = ("rigid", "passive", "elastic")
 CLAMP = JointBasis(EYE6, np.zeros((0, 6)))
 
 
-def support_equations(nodes: Sequence[Hashable], bases: Sequence[JointBasis],
-                      stiffnesses: Sequence) -> EquationBlock:
-    """Supports that share one (r, p, spring or pin) layout: Lr dt_j = 0
-    along the rigid directions, and Lf W_j + Ke Lf dt_j = Lf W0 along the
-    free ones (no Ke term where the stiffness is None)."""
-    r, rhs = bases[0].r, np.zeros((len(nodes), 6))
-    entries = [(0, "t", 0, np.stack([basis.lambda_rigid for basis in bases]))] if r else []
-    if bases[0].p:
-        lf = np.stack([basis.lambda_free for basis in bases])
-        if stiffnesses[0] is not None:
-            entries.append((r, "t", 0, np.stack([s.matrix for s in stiffnesses]) @ lf))
-            for k, (basis, stiffness) in enumerate(zip(bases, stiffnesses)):
-                if stiffness.preload is not None:
-                    rhs[k, r:] = basis.lambda_free @ stiffness.preload
-        entries.append((r, "W", 0, lf))
-    return EquationBlock([f"support@{node}" for node in nodes], 6,
-                         [(node,) for node in nodes], entries, rhs)
-
-
-def external_load_equations(nodes: Sequence[Sequence[Hashable]],
-                            end_nodes: Sequence[Hashable]) -> EquationBlock:
-    """Equilibrium of loaded junctions with one number of incident nodes: the
-    wrenches at `nodes[k]` sum to the wrench applied at `end_nodes[k]`, a
+def external_load_equations(nodes: Sequence[Hashable]) -> EquationBlock:
+    """Load points: W_node = w at each of `nodes`, the applied wrench a
     right-hand side bound at solve time (zero when unloaded)."""
-    return EquationBlock([f"load@{end}" for end in end_nodes], 6, [tuple(n) for n in nodes],
-                         [(0, "W", s, EYE6) for s in range(len(nodes[0]))],
-                         category="load", load_nodes=list(end_nodes))
+    return EquationBlock([f"load@{node}" for node in nodes], 6, [(node,) for node in nodes],
+                         [(0, "W", 0, EYE6)], category="load", load_nodes=list(nodes))
 
 
 def support_reaction(state, node: Hashable) -> Wrench:

@@ -271,11 +271,3 @@ class JointStiffness:
     @property
     def e(self) -> int:
         return self.matrix.shape[0]
-
-
-def _joint_stiffness(stiffness, preload=None) -> JointStiffness:
-    """`stiffness` (a JointStiffness or a matrix) as a JointStiffness; a given
-    preload replaces the one it carries."""
-    if isinstance(stiffness, JointStiffness):
-        return stiffness if preload is None else JointStiffness(stiffness.matrix, preload)
-    return JointStiffness(stiffness, preload)

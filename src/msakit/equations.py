@@ -1,11 +1,12 @@
 """Equation blocks: the uniform currency produced by all emitters.
 
-A block is a family of records (elements, connections, supports or load
-points of one kind) that share a row layout; a single record is a family of
-one. `layout` maps the entries of any list of blocks onto global COO
-triplets in one vectorized step per family, each record at its catalogue
-position. Emitters trust the model, so blocks check nothing: one test over
-every emitter holds their layout invariants.
+A block is a family of records of one kind that share a row layout:
+elements, connections (a support is one, attached to the ground) or load
+points; a single record is a family of one. `layout` maps the entries of
+any list of blocks onto global COO triplets in one vectorized step per
+family, each record at its catalogue position. Emitters trust the model, so
+blocks check nothing: one test over every emitter holds their layout
+invariants.
 """
 from __future__ import annotations
 

@@ -1,19 +1,22 @@
-"""Connections: one equation template for every joint and junction.
+"""Connections: one equation template for every joint, junction and support.
 
 A connection welds a carrier group of coincident link ends and ties
 attachments to the carrier's first node c. Each attachment splits its six
 directions by its basis: rigid directions carry compatibility, free
 directions a spring, of zero stiffness for a pin. A rigid joint is a carrier
 alone; a passive, elastic or actuated-as-elastic joint (i, j) attaches i to
-the carrier (j,). An n-node connection contributes 6n rows. Wrenches are the
+the carrier (j,). A support attaches its node to an empty carrier, the
+ground, which has no deflection and no wrench sum; a clamp's basis has no
+free direction. An n-node connection contributes 6n rows. Wrenches are the
 efforts the connection applies to each link end, so the wrench rows sum them
 to zero and the spring rows use the restoring sign.
 
-Every connection is one `JointSpec` record in these terms: its carrier and
-its attachments. `joint_spec` is the one place that checks a joint and maps
-its kind onto the template, and it rejects a field the kind ignores;
-`Model.add_junction` checks and records a junction. The emitter trusts its
-input and raises nothing.
+Every joint and junction is one `JointSpec` record in these terms: its
+carrier and its attachments. `joint_spec` checks a joint and maps its kind
+onto the template, and it rejects a field the kind ignores;
+`Model.add_junction` checks and records a junction. `_check_attachment`
+holds the basis and spring rules that joints and supports share. The emitter
+trusts its input and raises nothing.
 """
 from __future__ import annotations
 
@@ -70,32 +73,33 @@ def joint_spec(kind: str, nodes: Sequence[Hashable], basis: JointBasis | None = 
         acts_as = idealization.removeprefix("as-")
     elif idealization is not None:
         raise ModelError(f"a {kind} joint takes no idealization; only an actuated joint has one")
+    _check_attachment(acts_as, basis, stiffness, "connection")
     if acts_as == "rigid":
-        if basis is not None or stiffness is not None:
-            raise ModelError("a rigid or as-rigid joint takes no basis or stiffness")
         return JointSpec(kind, nodes, carrier=nodes, idealization=idealization)
-    if acts_as == "passive":
-        if basis is None:
-            raise ModelError("passive joint needs a direction basis")
-        if basis.p < 1:
-            raise ModelError("passive joint needs at least one free direction (use a rigid joint)")
-        if stiffness is not None:
-            raise ModelError("a passive joint takes no stiffness; use an elastic joint")
-    else:
-        _check_spring(basis, stiffness, "connection")
     i, j = nodes
     return JointSpec(kind, nodes, carrier=(j,), attachments=((i, basis, stiffness),),
                      idealization=idealization)
 
 
-def _check_spring(basis: JointBasis | None, stiffness: JointStiffness | None, what: str) -> None:
-    """Check that an elastic connection or support has a basis with at least
-    one elastic direction and a spring matrix over exactly those directions,
-    and warn of a preload along its rigid directions."""
+def _check_attachment(kind: str, basis: JointBasis | None, stiffness: JointStiffness | None,
+                      what: str) -> None:
+    """Check the basis and spring of a connection or support (`what`) that
+    acts as a rigid, passive or elastic `kind`, and warn of an elastic
+    preload along its rigid directions."""
+    if kind != "elastic" and stiffness is not None:
+        raise ModelError(f"a {kind} {what} takes no stiffness; use an elastic {what}")
+    if kind == "rigid":
+        if basis is not None:
+            raise ModelError(f"a rigid {what} takes no basis; it holds all six directions")
+        return
     if basis is None:
-        raise ModelError(f"elastic {what} needs a direction basis")
+        raise ModelError(f"{kind} {what} needs a direction basis")
     if basis.p < 1:
-        raise ModelError(f"elastic {what} needs at least one elastic direction")
+        raise ModelError(f"{kind} {what} needs at least one "
+                         f"{'free' if kind == 'passive' else 'elastic'} direction "
+                         f"(use a rigid {what})")
+    if kind == "passive":
+        return
     if stiffness is None:
         raise ModelError(f"elastic {what} needs a joint stiffness")
     if stiffness.e != basis.p:
@@ -120,25 +124,32 @@ def connection_equations(carriers: Sequence, attachments: Sequence,
     - Lf W_a + Ke Lf (dt_a - dt_c) = Lf W0 for each attachment, with Lr and
       Lf the rigid and free directions of its basis, Ke its spring matrix
       (no term for a pin) and W0 its preload.
+
+    An empty carrier is the ground (a support): it has no dt_c term and no
+    wrench sum, and a clamp's attachment (p = 0) no free rows.
     """
     first, row, entries = attachments[0], 0, []
     c, last = len(first), len(first) + len(carriers[0]) - 1
+    ties = [c] if carriers[0] else []          # the ground has no deflection
     for s, (_, basis, _) in enumerate(first):
         if basis.r:
             lr = np.stack([record[s][1].lambda_rigid for record in attachments])
-            entries += [(row, "t", s, lr), (row, "t", c, -lr)]
+            entries += [(row, "t", s, lr)] + [(row, "t", k, -lr) for k in ties]
             row += basis.r
     for s in range(c, last):
         entries += [(row, "t", s, EYE6), (row, "t", last, NEG_EYE6)]
         row += 6
-    entries += [(row, "W", s, EYE6) for s in range(last + 1)]
-    row += 6
+    if carriers[0]:
+        entries += [(row, "W", s, EYE6) for s in range(last + 1)]
+        row += 6
     rhs = np.zeros((len(carriers), row + sum(basis.p for _, basis, _ in first)))
     for s, (_, basis, stiffness) in enumerate(first):
+        if not basis.p:
+            continue
         lf = np.stack([record[s][1].lambda_free for record in attachments])
         if stiffness is not None:
             hooke = np.stack([record[s][2].matrix for record in attachments]) @ lf
-            entries += [(row, "t", s, hooke), (row, "t", c, -hooke)]
+            entries += [(row, "t", s, hooke)] + [(row, "t", k, -hooke) for k in ties]
             for k, (_, b, spring) in enumerate(record[s] for record in attachments):
                 if spring.preload is not None:
                     rhs[k, row:row + basis.p] = b.lambda_free @ spring.preload

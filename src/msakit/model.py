@@ -2,12 +2,13 @@
 
 A Model is a builder; assembly, stiffness extraction and solving live in the
 assembly module. Every invariant of a node, element, connection, support or
-load point is checked once, by the `add_*` call that records it (for joints,
-by `joints.joint_spec`), and a field that a joint's or support's kind would
-ignore is an error there; the document reader and the emitters trust the
-model, whose records are read-only. Joints and junctions alike are recorded
-as one `JointSpec` each, in the terms of the connection template; a flexible
-link must be a free body about its node positions.
+load point is checked once, by the `add_*` call that records it (the basis
+and spring of joints and supports alike by `joints._check_attachment`), and
+a field that a joint's or support's kind would ignore is an error there; the
+document reader and the emitters trust the model, whose records are
+read-only. Joints and junctions alike are recorded as one `JointSpec` each,
+in the terms of the connection template; a flexible link must be a free body
+about its node positions.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .boundary import SUPPORT_KINDS
-from .core import JointBasis, JointStiffness, _as_vector, _freeze, _joint_stiffness, transport_matrix
+from .core import JointBasis, JointStiffness, _as_vector, _freeze, transport_matrix
 from .elements import LinkStiffness, _beam_matrix, _check_section
 from .errors import ModelError
-from .joints import JointSpec, _check_spring, joint_spec
+from .joints import JointSpec, _check_attachment, joint_spec
 
 # Absolute slack, scaled by model extent, for "these joint nodes coincide".
 COINCIDENT_TOL = 1e-9
@@ -61,15 +62,16 @@ class Model:
     def __init__(self):
         self._positions: dict = {}           # node -> position
         self._supports: dict = {}            # node -> SupportSpec
-        self._load_points: dict = {}         # end node -> tuple of incident nodes
+        self._load_points: dict = {}         # load node -> None, for O(1) lookup
         self._lists = {name: [] for name in _LISTS}     # records in insertion order
-        self.end_effector: Hashable | None = None
+        self._end_effector: Hashable | None = None
         self._extent = 1.0                   # max(1, largest |coordinate| of any node)
         self._system = None                  # (counts, system, padded system) of assembly._system
 
     positions = property(lambda self: MappingProxyType(self._positions))
     supports = property(lambda self: MappingProxyType(self._supports))
-    load_points = property(lambda self: MappingProxyType(self._load_points))
+    load_points = property(lambda self: tuple(self._load_points))
+    end_effector = property(lambda self: self._end_effector)
     flexible_links = property(lambda self: tuple(self._lists["flexible_links"]))
     rigid_links = property(lambda self: tuple(self._lists["rigid_links"]))
     platforms = property(lambda self: tuple(self._lists["platforms"]))
@@ -169,11 +171,15 @@ class Model:
 
     @staticmethod
     def _stiffness(stiffness, preload) -> JointStiffness | None:
+        """`stiffness` (None, a JointStiffness or a matrix) as a JointStiffness;
+        a given preload replaces the one it carries."""
         if stiffness is None:
             if preload is not None:
                 raise ModelError("a preload needs an elastic stiffness to act through")
             return None
-        return _joint_stiffness(stiffness, preload)
+        if isinstance(stiffness, JointStiffness) and preload is None:
+            return stiffness
+        return JointStiffness(getattr(stiffness, "matrix", stiffness), preload)
 
     # -- joints -----------------------------------------------------------
 
@@ -218,50 +224,28 @@ class Model:
             raise ModelError(f"node {node!r} is a load point and cannot also be supported")
         if kind not in SUPPORT_KINDS:
             raise ModelError(f"unknown support kind {kind!r}")
-        if kind == "rigid" and basis is not None:
-            raise ModelError("a rigid support takes no basis; it holds all six directions")
-        if kind != "rigid" and basis is None:
-            raise ModelError(f"{kind} support needs a direction basis")
         stiffness = self._stiffness(stiffness, preload)
-        if kind != "elastic" and stiffness is not None:
-            raise ModelError(f"a {kind} support takes no stiffness; use an elastic support")
-        if kind == "passive":
-            if basis.p < 1:
-                raise ModelError("passive support needs at least one free direction "
-                                 "(use a rigid support)")
-            if basis.r < 1:
-                raise ModelError("a support with no rigid direction constrains nothing; "
-                                 "model a free end with a load node instead")
-        if kind == "elastic":
-            _check_spring(basis, stiffness, "support")
+        _check_attachment(kind, basis, stiffness, "support")
+        if kind == "passive" and basis.r < 1:
+            raise ModelError("a support with no rigid direction constrains nothing; "
+                             "model a free end with a load node instead")
         self._supports[node] = SupportSpec(node=node, kind=kind, basis=basis, stiffness=stiffness)
 
-    def add_load_point(self, end_node: Hashable, incident_nodes: Sequence[Hashable] | None = None) -> None:
-        """Declare a node where an external wrench may be applied.
-
-        `incident_nodes` are the link ends meeting at the loaded junction and
-        default to the node itself.
-        """
-        nodes = tuple(incident_nodes) if incident_nodes is not None else (end_node,)
-        self._require_nodes(list(nodes) + [end_node])
-        if not nodes:
-            raise ModelError("a load point needs at least one incident node")
-        if len(set(nodes)) != len(nodes):
-            raise ModelError("duplicate node ids at load point")
-        if end_node in self._supports:
-            raise ModelError(f"node {end_node!r} is supported and cannot carry a load point")
-        if end_node in self._load_points:
-            raise ModelError(f"node {end_node!r} already is a load point")
-        self._load_points[end_node] = nodes
-
-    def set_end_effector(self, node: Hashable,
-                         incident_nodes: Sequence[Hashable] | None = None) -> None:
+    def add_load_point(self, node: Hashable) -> None:
+        """Declare a link-end node where an external wrench may be applied."""
         self._require_nodes([node])
-        if self.end_effector is not None:
+        if node in self._supports:
+            raise ModelError(f"node {node!r} is supported and cannot carry a load point")
+        if node in self._load_points:
+            raise ModelError(f"node {node!r} already is a load point")
+        self._load_points[node] = None
+
+    def set_end_effector(self, node: Hashable) -> None:
+        if self._end_effector is not None:
             raise ModelError("end effector already set")
-        self.end_effector = node
         if node not in self._load_points:
-            self.add_load_point(node, incident_nodes)
+            self.add_load_point(node)
+        self._end_effector = node
 
     # -- analysis conveniences (delegating to assembly) ---------------------
 
@@ -297,7 +281,7 @@ class Model:
             return self
         m = self.copy()
         m._supports.pop(end, None)
-        m._load_points.setdefault(end, (end,))
+        m._load_points[end] = None
         return m
 
     def copy(self) -> "Model":
@@ -305,5 +289,5 @@ class Model:
         m._positions, m._supports = dict(self._positions), dict(self._supports)
         m._load_points = dict(self._load_points)
         m._lists = {name: list(records) for name, records in self._lists.items()}
-        m.end_effector, m._extent = self.end_effector, self._extent
+        m._end_effector, m._extent = self._end_effector, self._extent
         return m

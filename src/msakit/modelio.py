@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .core import joint_basis_preset, make_joint_basis
-from .errors import FormatError
+from .errors import FormatError, ModelError
 from .model import Model
 
 _LINK_TYPES = ("beam", "flexible", "rigid")
@@ -64,6 +64,8 @@ class ModelDocument:
                 path = f"$.platforms[{k}]"
                 if entry["type"] == "rigid":
                     m.add_rigid_platform(entry["clamps"], entry["end"])
+                elif len(set(entry["clamps"])) != len(entry["clamps"]):
+                    raise ModelError("duplicate clamp node ids on flexible platform")
                 else:
                     stiff = {c: np.array(K) for c, K in zip(entry["clamps"], entry["stiffness"])}
                     m.add_flexible_platform(stiff, entry["end"])

@@ -343,9 +343,10 @@ def rotated_model(model: Model, R) -> Model:
         basis = None if support.basis is None else support.basis.rotated(R)
         out.add_support(support.node, support.kind, basis,
                         _rotated_preload(support.stiffness, R))
-    for end, nodes in model.load_points.items():
-        out.add_load_point(end, nodes)
-    out.end_effector = model.end_effector
+    for node in model.load_points:
+        out.add_load_point(node)
+    if model.end_effector is not None:
+        out.set_end_effector(model.end_effector)
     return out
 
 

@@ -219,10 +219,6 @@ INVALID_INPUTS = {
         "platform end node cannot also be a clamp"),
     "rigid platform, no clamps": (
         lambda m: m.add_rigid_platform([], "e"), "rigid platform needs at least one clamp node"),
-    "load point, no incident nodes": (
-        lambda m: m.add_load_point("e", []), "a load point needs at least one incident node"),
-    "load point, repeated incident node": (
-        lambda m: m.add_load_point("e", ["b", "b"]), "duplicate node ids at load point"),
 }
 
 
@@ -645,6 +641,9 @@ class TestSharedFactorization:
             m.supports = {}
         with pytest.raises(ValueError, match="read-only"):
             m.positions["b"][0] = 2.0
+        with pytest.raises(AttributeError):
+            m.end_effector = "a"
+        assert m.end_effector == "b" and m.load_points == ("b",)
         assert list(m.positions) == ["a", "b"] and m.positions["b"][0] == 1.0
         assert m.flexible_links == (link,) and list(m.supports) == ["a"]
         assert len(nav.platforms) == 1
@@ -673,7 +672,7 @@ class TestQueries:
         m.add_support("b", "rigid")
         m.cartesian_stiffness("b")
         assert set(m.supports) == {"a", "b"}
-        assert m.load_points == {}
+        assert m.load_points == ()
 
 
 class TestCheckModel:

@@ -3,24 +3,30 @@ import numpy as np
 import pytest
 
 import msakit
-from msakit.boundary import CLAMP, external_load_equations, support_equations
+from msakit.boundary import CLAMP, external_load_equations
 from msakit.equations import deflection_var, wrench_var
+from msakit.joints import connection_equations
 
-from helpers import block_residual, cantilever, flexible_platform_model, section_kwargs
+from helpers import block_residual, cantilever, flexible_platform_model, rel_fro, section_kwargs
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
 
+def support_block(node, basis, stiffness=None):
+    """One support's rows: its node attached to the ground, an empty carrier."""
+    return connection_equations([()], [((node, basis, stiffness),)], [f"support@{node}"])
+
+
 def rigid_support(node):
-    return support_equations([node], [CLAMP], [None])
+    return support_block(node, CLAMP)
 
 
 def passive_support(node, basis):
-    return support_equations([node], [basis], [None])
+    return support_block(node, basis)
 
 
 def elastic_support(node, basis, stiffness, preload=None):
-    return support_equations([node], [basis], [msakit.JointStiffness(stiffness, preload)])
+    return support_block(node, basis, msakit.JointStiffness(stiffness, preload))
 
 
 class TestSupportRows:
@@ -69,32 +75,19 @@ class TestSupportRows:
 
 class TestExternalLoadRows:
     def test_single_incident_node(self):
-        block = external_load_equations([["e"]], ["e"])
+        block = external_load_equations(["e"])
         assert block.rows == 6 and block.load_nodes == ["e"]
         M, variables = block.dense()
         assert variables == [wrench_var("e")]
         np.testing.assert_array_equal(M, np.eye(6))
 
-    def test_three_incident_nodes_sum(self):
-        block = external_load_equations([["i", "j", "k"]], ["e"])
-        order = [wrench_var(n) for n in "ijk"]
-        M, _ = block.dense(order)
-        np.testing.assert_array_equal(M, np.hstack([np.eye(6)] * 3))
-
     def test_zero_load_reduces_to_wrench_balance(self):
-        block = external_load_equations([["i", "j"]], ["e"])
+        # Unloaded, the row reads W_e = 0: the free link end carries no wrench.
+        block = external_load_equations(["e"])
         w = np.array([1.0, -2.0, 3.0, 0.1, 0.2, -0.3])
-        values = {wrench_var("i"): w, wrench_var("j"): -w}
-        np.testing.assert_allclose(block_residual(block, values), np.zeros(6), atol=1e-15)
-
-    def test_duplicates_rejected(self):
-        m = msakit.Model()
-        for node in "ie":
-            m.add_node(node, [0, 0, 0])
-        with pytest.raises(ValueError):
-            m.add_load_point("e", ["i", "i"])
-        with pytest.raises(ValueError):
-            m.add_load_point("e", [])
+        np.testing.assert_allclose(block_residual(block, {wrench_var("e"): np.zeros(6)}),
+                                   np.zeros(6), atol=1e-15)
+        np.testing.assert_array_equal(block_residual(block, {wrench_var("e"): w}), w)
 
 
 class TestReactions:
@@ -173,6 +166,18 @@ class TestModelSupportRules:
         with pytest.raises(msakit.ModelError):
             model.add_support("b", "rigid")
 
+    def test_supported_end_effector_rejected_without_a_trace(self):
+        m = msakit.Model()
+        m.add_node("a", [0, 0, 0])
+        m.add_node("b", [1.0, 0, 0])
+        m.add_beam("a", "b", **section_kwargs())
+        m.add_support("a", "rigid")
+        with pytest.raises(msakit.ModelError, match="is supported and cannot carry a load point"):
+            m.set_end_effector("a")
+        assert m.end_effector is None and m.load_points == ()
+        m.set_end_effector("b")
+        assert m.end_effector == "b"
+
     def test_support_off_the_links_rejected(self):
         # A beam welded to a grounded node that no link touches: the node's
         # wrench is the weld's effort, so it cannot report the reaction.
@@ -187,6 +192,22 @@ class TestModelSupportRules:
             m.assemble()
         assert m.check().square
 
+    def test_load_point_off_the_links_rejected(self):
+        # The loaded node j sits in a junction and no link touches it: its
+        # wrench is the junction's effort, so a load there is not balanced.
+        m, _ = loaded_junction("j")
+        with pytest.raises(msakit.ModelError, match=r"no link or platform touches: \['j'\]"):
+            m.assemble()
+        with pytest.raises(msakit.ModelError, match="load a link end instead"):
+            m.cartesian_stiffness()
+
+    def test_junction_loaded_through_a_rigid_link(self):
+        m, link = loaded_junction("e")
+        T = msakit.transport_matrix(m.position_of("b") - m.position_of("e"))
+        assert rel_fro(m.cartesian_stiffness().kc, T.T @ link.K22 @ T) <= 1e-12
+        w = np.array([10.0, -20.0, 30.0, 1.0, 2.0, -3.0])
+        assert msakit.equilibrium_residual(m.solve(w)) <= 1e-12 * np.linalg.norm(w)
+
     def test_pinned_beam_without_other_constraints_is_a_mechanism(self):
         m = msakit.Model()
         m.add_node("a", [0, 0, 0])
@@ -197,3 +218,23 @@ class TestModelSupportRules:
         result = m.cartesian_stiffness()
         assert result.diagnostics.mechanisms == 1
         assert result.diagnostics.kc_rank == 5
+
+
+def loaded_junction(end):
+    """Beam a-b clamped at a, and beam c-d with d a free load point; b, c and
+    j are welded in a junction. The end effector is j itself, or e, which a
+    rigid link ties to j."""
+    m = msakit.Model()
+    for node, position in (("a", [0, 0, 0]), ("b", [1.0, 0, 0]), ("c", [1.0, 0, 0]),
+                           ("j", [1.0, 0, 0]), ("d", [1.0, 0.8, 0])):
+        m.add_node(node, position)
+    link = m.add_beam("a", "b", **section_kwargs())
+    m.add_beam("c", "d", **section_kwargs())
+    m.add_support("a", "rigid")
+    m.add_junction(("b", "c", "j"))
+    m.add_load_point("d")
+    if end == "e":
+        m.add_node("e", [1.3, 0.2, 0.1])
+        m.add_rigid_link("j", "e")
+    m.set_end_effector(end)
+    return m, link

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import msakit
-from msakit.core import _joint_stiffness
 from msakit.equations import deflection_var, wrench_var
 from msakit.joints import joint_spec
 
@@ -24,9 +23,8 @@ def passive_joint(basis, nodes):
 
 
 def elastic_joint(basis, stiffness, nodes, preload=None):
-    stiffness = _joint_stiffness(stiffness, preload)
     return connection_block(joint_spec(kind="elastic", nodes=nodes, basis=basis,
-                                        stiffness=stiffness))
+                                        stiffness=msakit.Model._stiffness(stiffness, preload)))
 
 
 def junction(rigid_nodes, passive_nodes=()):

@@ -141,6 +141,19 @@ class TestParse:
             msakit.parse_model(json.dumps(data)).to_model()
         assert err.value.path == "$.nodes[2]"
 
+    @pytest.mark.parametrize("kind", ["rigid", "flexible"])
+    def test_repeated_clamp_rejected(self, kind):
+        # A flexible platform's {clamp: matrix} mapping would drop the repeat.
+        data = msakit.document_from_model(flexible_platform_model()).as_dict()
+        stiffness = data["platforms"][0]["stiffness"][0]
+        data["platforms"][0] = {"type": kind, "clamps": ["c0", "c0"], "end": "e"}
+        if kind == "flexible":
+            data["platforms"][0]["stiffness"] = [stiffness, stiffness]
+        with pytest.raises(msakit.FormatError,
+                           match=f"duplicate clamp node ids on {kind} platform") as err:
+            msakit.parse_model(json.dumps(data)).to_model()
+        assert err.value.path == "$.platforms[0]"
+
 
 # Joints and supports that carry a field their kind ignores: (the add call,
 # the document list and entry that describe the same input).
