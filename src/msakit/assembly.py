@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import boundary as _boundary
 from . import elements as _elements
@@ -149,11 +150,16 @@ class GlobalSystem:
 
     def block_row_counts(self) -> dict:
         """Rows per class: link, compat, wrench, mixed, load."""
-        counts = collections.Counter(kind for _, kind in self.row_meta)
-        return {kind: counts[kind] for kind in ("link", "compat", "wrench", "mixed", "load")}
+        return {kind: sum(len(sources) * kinds.count(kind) for sources, _, kinds in self._rows)
+                for kind in ("link", "compat", "wrench", "mixed", "load")}
 
     def rows_by_source(self) -> dict:
-        return dict(collections.Counter(source for source, _ in self.row_meta))
+        """Rows per source, in the order of its first row; a repeated source adds up."""
+        counts: dict = {}
+        for _, source, rows in sorted((first, source, len(kinds)) for sources, base, kinds
+                                      in self._rows for source, first in zip(sources, base)):
+            counts[source] = counts.get(source, 0) + rows   # sorted by first rows, all distinct
+        return counts
 
 
 def _link_length(model: Model) -> float:
@@ -226,46 +232,52 @@ def _system(model: Model, square: bool = False) -> GlobalSystem:
     return model._system[2 if square else 1]
 
 
-def assemble(model: Model) -> GlobalSystem:
-    """The model's one system (see `_system`), once it passes the structural gate.
+# A finding that keeps `assemble` from accepting a model, and the message it raises.
+Fault = collections.namedtuple("Fault", "kind names message")
 
-    Raises ModelError for dangling nodes, a row/column mismatch (the error
-    carries a per-source row breakdown to make miscounts findable), a node
-    that two connections claim, a node that only one block touches (a
-    free link end: its wrench rows are missing even where the count closes)
-    or a support or load point on a node that no link or platform touches
-    (its wrench would be the connection's effort, not the reaction or load).
-    """
-    if not model.positions:
-        raise ModelError("model has no nodes")
-    system = _system(model)
+
+def _faults(model: Model, system: GlobalSystem) -> list:
+    """A model's structural findings, in the order `assemble` raises them. A
+    free link end is loose: its wrench rows are missing even where the count
+    closes; a support or load point off the links gets a connection's effort."""
+    faults = [] if model.positions else [Fault("empty", (), "model has no nodes")]
     dangling = [node for node, count in system.connectivity.items() if count == 0]
     if dangling:
-        raise ModelError(f"nodes with no equations: {dangling!r}")
+        faults.append(Fault("dangling", tuple(dangling), f"nodes with no equations: {dangling!r}"))
     rows, cols = system.shape
     if rows != cols:
         breakdown = ", ".join(f"{src}: {cnt}" for src, cnt in system.rows_by_source().items())
-        raise ModelError(
-            f"system is not square: {rows} equations for {cols} unknowns ({breakdown})")
+        faults.append(Fault("not square", (), f"system is not square: {rows} equations for "
+                            f"{cols} unknowns ({breakdown})"))
     owner: dict = {}
     for spec in model.connections:
         source = _connection_source(spec)
         for node in spec.nodes:
             if node in owner:
-                raise ModelError(
-                    f"node {node!r} belongs to both {owner[node]} and {source}; "
-                    "join three or more link ends at one point with add_junction")
-            owner[node] = source
+                faults.append(Fault("shared", (node, owner[node], source),
+                                    f"node {node!r} belongs to both {owner[node]} and {source}; "
+                                    "join three or more link ends at one point with add_junction"))
+            owner.setdefault(node, source)
     loose = [node for node, count in system.connectivity.items() if count == 1]
     if loose:
-        raise ModelError(f"nodes touched by one block only: {loose!r}; "
-                         "give each a connection, a support or a load point")
+        faults.append(Fault("loose", tuple(loose), f"nodes touched by one block only: {loose!r}; "
+                            "give each a connection, a support or a load point"))
     link_ends = {node for link in model.flexible_links for node in link.nodes}
     link_ends.update(*model.rigid_links, *(p.clamps + (p.end,) for p in model.platforms))
     unlinked = [node for node in (*model.supports, *model.load_points) if node not in link_ends]
     if unlinked:
-        raise ModelError("supports or load points on nodes that no link or platform touches: "
-                         f"{unlinked!r}; support or load a link end instead")
+        faults.append(Fault("unlinked", tuple(unlinked),
+                            "supports or load points on nodes that no link or platform touches: "
+                            f"{unlinked!r}; support or load a link end instead"))
+    return faults
+
+
+def assemble(model: Model) -> GlobalSystem:
+    """The model's one system (see `_system`), once it passes the structural
+    gate: ModelError with the message of its first fault (see `_faults`)."""
+    system = _system(model)
+    if faults := _faults(model, system):
+        raise ModelError(faults[0].message)
     return system
 
 
@@ -384,56 +396,60 @@ class _Factorization:
     an `_Analysis`, shared by the stiffness, solve and audit paths. Row
     scaling never changes solutions.
 
-    A block whose LU breaks down or leaves k pivots below PIVOT_RTOL is
-    bordered instead (Keller's bordering; T. F. Chan, SIAM J. Numer. Anal.
-    21, 1984): M = [A U; V^T 0]. One solve of k random right-hand sides
-    through the tiny pivots is a step of inverse iteration towards the null
-    vectors of A and A^T; unit borders go where those peak, so M keeps A's
-    sparsity; while a surplus border leaves M singular, the last peak is
-    dropped. The trailing k x k block T of M^-1 is singular exactly where A
-    is, and its null vectors map to orthonormal bases of null(A) and
-    null(A^T). Solves then return the minimum-norm least-squares solution
-    from the same LU.
+    A singular block is bordered (Keller's bordering; T. F. Chan, SIAM J.
+    Numer. Anal. 21, 1984): M = [A U; V^T 0], with unit borders at the k rows
+    and columns that a maximum matching of A's pattern leaves unmatched
+    (Dulmage-Mendelsohn; Pothen and Fan, ACM TOMS 16, 1990), is factored once.
+    When that M is singular too, or A only in its numbers (its LU leaves
+    pivots below PIVOT_RTOL), the borders go where k solves through the tiny
+    pivots, a step of inverse iteration, peak. The trailing k x k block T of
+    M^-1 is singular exactly where A is; its null vectors map to orthonormal
+    bases of null(A) and null(A^T). Solves then return the minimum-norm
+    least-squares solution from the same LU.
     """
 
     def __init__(self, A: scipy.sparse.csr_matrix):
-        self.n = A.shape[0]
-        row = np.repeat(np.arange(self.n), np.diff(A.indptr))
-        row_max = np.zeros(self.n)
+        self.n = n = A.shape[0]
+        row = np.repeat(np.arange(n), np.diff(A.indptr))
+        row_max = np.zeros(n)
         np.maximum.at(row_max, row, np.abs(A.data))
         row_max[row_max == 0.0] = 1.0
         self._row_scale = 1.0 / row_max
-        self._A = self._M = scipy.sparse.csr_matrix(
-            (A.data * self._row_scale[row], A.indices, A.indptr), shape=A.shape).tocsc()
-        self._lu, tiny = _lu(self._A)
-        self.pseudo_inverse = self._lu is None or tiny > 0
-        self.null_right = self.null_left = np.zeros((self.n, 0))
-        if self.pseudo_inverse:
-            self._border(tiny)
-        self.rank = self.n - self.null_right.shape[1]
+        A = scipy.sparse.csr_matrix((A.data * self._row_scale[row], A.indices, A.indptr), A.shape)
+        self.null_right = self.null_left = np.zeros((n, 0))
+        match = maximum_bipartite_matching(A, perm_type="column")
+        rows = np.flatnonzero(match < 0)
+        if not (rows.size and self._border(A, rows, np.setdiff1d(np.arange(n), match))):
+            self._M = A.tocsc()
+            self._lu, tiny = _lu(self._M)
+            if self._lu is None or tiny > 0:
+                self._border_at_peaks(A, tiny)
+        self.pseudo_inverse = self._M.shape[0] > n
+        self.rank = n - self.null_right.shape[1]
         u = np.abs(self._lu.U.diagonal())
         self.condition_estimate = float(u.max() / u.min())
 
-    def _border(self, k: int) -> None:
-        A, n, lu = self._A, self.n, self._lu
-        if lu is None:   # an exactly zero pivot: a tiny shift exposes it
-            lu, k = _lu((A + PIVOT_SHIFT * scipy.sparse.eye(n, format="csc")).tocsc())
+    def _border_at_peaks(self, A: scipy.sparse.csr_matrix, k: int) -> None:
+        lu, k = (self._lu, k) if self._lu is not None else _lu(   # a zero pivot: a shift exposes it
+            (A + PIVOT_SHIFT * scipy.sparse.eye(self.n, format="csr")).tocsc())
         if lu is None:
             raise ModelError("the bordered LU of a singular block did not factor")
-        R = np.random.default_rng(BORDER_SEED).standard_normal((n, max(k, 1)))
+        R = np.random.default_rng(BORDER_SEED).standard_normal((self.n, max(k, 1)))
         rows, cols = _peaks(lu.solve(R, trans="T")), _peaks(lu.solve(R))
-        for k in range(len(rows), 0, -1):
-            U, V = (scipy.sparse.csc_matrix((np.ones(k), (peaks[:k], np.arange(k))), shape=(n, k))
-                    for peaks in (rows, cols))
-            M = scipy.sparse.bmat([[A, U], [V.T, None]], format="csc")
-            lu, tiny = _lu(M)
-            if lu is not None and tiny == 0:
-                break
-        else:
+        if not any(self._border(A, rows[:k], cols[:k]) for k in range(len(rows), 0, -1)):
             raise ModelError("the bordered LU of a singular block did not factor")
+
+    def _border(self, A: scipy.sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> bool:
+        """Keep the LU of M, bordered at `rows` and `cols`, with T's pseudo-inverse
+        and A's null bases if it has no pivot below PIVOT_RTOL; else False."""
+        n, k, A = self.n, len(rows), A.tocoo()
+        M = scipy.sparse.csc_matrix((np.r_[A.data, np.ones(2 * k)], (
+            np.r_[A.row, rows, n:n + k], np.r_[A.col, n:n + k, cols])), shape=(n + k, n + k))
+        lu, tiny = _lu(M)
+        if lu is None or tiny > 0:
+            return False
         self._lu, self._M = lu, M
-        E = np.zeros((n + k, k))
-        E[n:] = np.eye(k)
+        E = np.eye(n + k, k, -n)
         X, Y = self._refined(E), self._refined(E, trans="T")
         W, s, Zt = np.linalg.svd(X[n:])
         null = s <= PIVOT_RTOL
@@ -442,6 +458,7 @@ class _Factorization:
         if null.any():
             self.null_right = np.linalg.qr(X[:n] @ Zt[null].T)[0]
             self.null_left = np.linalg.qr(Y[:n] @ W[:, null])[0]
+        return True
 
     def _refined(self, R: np.ndarray, trans: str = "N") -> np.ndarray:
         """LU solve with the factored matrix (or its transpose), plus one
@@ -684,7 +701,8 @@ def solve_loaded(system: GlobalSystem, loads=None) -> State:
     # of the stiffness terms or of the model.
     M = system.matrix
     r = float(np.max(np.abs(M @ x - b)))
-    m_norm = float(abs(M).sum(axis=1).max())
+    starts = M.indptr[:-1][M.indptr[:-1] < M.indptr[1:]]      # of the rows with entries
+    m_norm = float(np.add.reduceat(np.abs(M.data), starts).max(initial=0.0))
     denom = m_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))
     residual = r / denom if denom > 0.0 else 0.0
     if residual > RESIDUAL_RTOL:
@@ -713,11 +731,12 @@ class ModelReport:
     dangling: list
     connectivity: dict
     mechanism_nodes: list            # nodes that move in a mechanism of the held structure
+    faults: list                     # the findings that keep `assemble` from accepting it
     self_stress: int = 0             # wrench-only null vectors of the held structure
 
     @property
     def well_posed(self) -> bool:
-        return self.square and self.mechanisms == 0 and not self.dangling
+        return not self.faults and self.mechanisms == 0
 
     def summary(self) -> str:
         return (f"{self.rows} equations / {self.unknowns} unknowns, "
@@ -762,7 +781,7 @@ def check_model(model: Model) -> ModelReport:
     """
     system = _system(model)
     rows, unknowns = system.shape
-    dangling = [node for node, count in system.connectivity.items() if count == 0]
+    faults = _faults(model, system)
 
     rank = self_stress = 0
     mechanisms = unknowns
@@ -787,8 +806,9 @@ def check_model(model: Model) -> ModelReport:
         rank=rank,
         mechanisms=mechanisms,
         redundant=rows - rank,
-        dangling=dangling,
+        dangling=next((list(f.names) for f in faults if f.kind == "dangling"), []),
         connectivity=system.connectivity,
         mechanism_nodes=mechanism_nodes,
+        faults=faults,
         self_stress=self_stress,
     )

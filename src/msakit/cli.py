@@ -99,8 +99,8 @@ def _cmd_check(args) -> int:
     for source, rows in report.rows_by_source.items():
         print(f"  {source}: {rows} rows")
     print(f"  row classes: {report.rows_by_kind}")
-    if report.dangling:
-        print(f"  dangling nodes: {report.dangling}")
+    for fault in report.faults:
+        print(f"  fault ({fault.kind}): {fault.message}")
     return 0 if report.well_posed else 1
 
 

@@ -123,6 +123,42 @@ def free_link_end() -> msakit.Model:
     return m
 
 
+def loaded_junction(end) -> tuple:
+    """Beam a-b clamped at a, and beam c-d with d a free load point; b, c and
+    j are welded in a junction. The end effector is j itself, or e, which a
+    rigid link ties to j."""
+    m = msakit.Model()
+    for node, position in (("a", [0, 0, 0]), ("b", [1.0, 0, 0]), ("c", [1.0, 0, 0]),
+                           ("j", [1.0, 0, 0]), ("d", [1.0, 0.8, 0])):
+        m.add_node(node, position)
+    link = m.add_beam("a", "b", **section_kwargs())
+    m.add_beam("c", "d", **section_kwargs())
+    m.add_support("a", "rigid")
+    m.add_junction(("b", "c", "j"))
+    m.add_load_point("d")
+    if end == "e":
+        m.add_node("e", [1.3, 0.2, 0.1])
+        m.add_rigid_link("j", "e")
+    m.set_end_effector(end)
+    return m, link
+
+
+def first_fault(model):
+    """The first structural fault of a model's audit, after checking that it
+    is the one `assemble` raises and that the audit calls the model not
+    well-posed."""
+    try:
+        model.assemble()
+    except msakit.ModelError as exc:
+        raised = str(exc)
+    else:
+        raise AssertionError("assemble accepted the model")
+    report = model.check()
+    assert not report.well_posed and report.faults, report.summary()
+    assert report.faults[0].message == raised
+    return report.faults[0]
+
+
 def stack_dense(blocks, variables) -> np.ndarray:
     """Vertically stack several blocks over a shared variable ordering."""
     parts = [b.dense(variables)[0] for b in blocks]

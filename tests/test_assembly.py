@@ -1,4 +1,5 @@
 """Global assembly, partitioning, stiffness extraction and loaded solves."""
+import collections
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from msakit import assembly
 from msakit.core import block_rotation
 from msakit.equations import deflection_var, wrench_var
 
-from helpers import (cantilever, dense_audit, entries_dense, flexible_platform_model,
+from helpers import (cantilever, dense_audit, entries_dense, first_fault, flexible_platform_model,
                      free_link_end, random_chain, rel_fro, section_kwargs, sprung_model,
                      stack_dense)
 
@@ -139,11 +140,16 @@ class TestAssemble:
             model.add_node("ghost", [5.0, 5.0, 5.0])
             with pytest.raises(msakit.ModelError, match="ghost"):
                 model.assemble()
+            assert first_fault(model)[:2] == ("dangling", ("ghost",))
 
     def test_non_square_rejected_with_breakdown(self):
         for audit_between in (False, True):
             with pytest.raises(msakit.ModelError, match="not square"):
                 duplicated_joint(audit_between).assemble()
+        faults = duplicated_joint().check().faults
+        assert first_fault(duplicated_joint()).kind == "not square"
+        assert [f.names for f in faults if f.kind == "shared"] == [
+            ("b", "joint<b,c>", "joint<b,c>"), ("c", "joint<b,c>", "joint<b,c>")]
 
     def test_node_claimed_by_two_connections_rejected(self):
         # A pinned branch e-f hung from node b, which the weld b-c already
@@ -163,6 +169,7 @@ class TestAssemble:
             m.assemble()
         report = m.check()
         assert report.square and report.rows == 72
+        assert first_fault(m)[:2] == ("shared", ("b", "joint<b,c>", "joint<b,e>"))
 
     def test_link_end_touched_by_one_block_rejected(self):
         # A junction supplies the rows of a pinned branch e-f whose far end f
@@ -180,6 +187,7 @@ class TestAssemble:
         report = m.check()
         assert report.square and report.rows == 48
         assert report.connectivity["f"] == 1
+        assert first_fault(m)[:2] == ("loose", ("f",))
 
     def test_joint_nodes_must_coincide(self):
         model, _ = cantilever()
@@ -581,15 +589,11 @@ class TestSharedFactorization:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
         system = build().assemble()
-        result = msakit.cartesian_stiffness(system)
+        msakit.cartesian_stiffness(system)
         kc_calls = len(lu_calls)
         state = msakit.solve_loaded(system, [0.0, 0.0, 10.0, 0.0, 0.0, 1.0])
         assert len(factorizations) == 1
-        assert len(lu_calls) == kc_calls
-        if result.diagnostics.pseudo_inverse:
-            assert kc_calls >= 2         # the block's own LU, then the bordered one
-        else:
-            assert kc_calls == 1
+        assert len(lu_calls) == kc_calls == 1    # bordered or not, one LU
         assert state.residual <= assembly.RESIDUAL_RTOL
 
     @pytest.mark.parametrize("build", [
@@ -700,6 +704,7 @@ class TestCheckModel:
 
     def test_models_without_equations(self):
         assert msakit.Model().check().summary().startswith("0 equations / 0 unknowns")
+        assert first_fault(msakit.Model()).kind == "empty"
         m = msakit.Model()
         m.add_node("a", [0, 0, 0])
         report = m.check()
@@ -756,6 +761,35 @@ def test_bordered_blocks_have_unit_borders(name, factorizations):
     for border in (M[:n, n:], M[n:, :n].T):
         assert (np.count_nonzero(border, axis=0) == 1).all()
         assert (border[border != 0.0] == 1.0).all()
+
+
+# Pendulum chains of the benchmark's size, by their nullity: each pendulum
+# swings about its pin.
+LONG_PENDULUM_CHAINS = {f"{p} free pendulums, 40 beams": p for p in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("name", [*SINGULAR_MODELS, *LONG_PENDULUM_CHAINS])
+def test_singular_blocks_take_one_lu_bordered_by_their_nullity(name, factorizations,
+                                                              monkeypatch):
+    """The unmatched rows and columns of a maximum matching place the borders
+    before the first LU, one per null vector of the block."""
+    lu, calls = assembly._lu, []
+    monkeypatch.setattr(assembly, "_lu", lambda M: calls.append(M.shape) or lu(M))
+    if name in SINGULAR_MODELS:
+        model = SINGULAR_MODELS[name]()
+        model.check()
+        nullity = factorizations[0].n - dense_audit(model)["a_rank"]
+    else:
+        nullity = LONG_PENDULUM_CHAINS[name]
+        pendulum_chain(nullity, beams=40).check()
+    fac, = factorizations
+    borders = fac._M.shape[0] - fac.n
+    if name == "duplicated joint (non-square)":
+        # The matching leaves the wrong one of two equal rows unmatched, so
+        # the matched borders leave M singular and the fallback borders it.
+        assert len(calls) > 1 and borders >= nullity
+    else:
+        assert len(calls) == 1 and borders == nullity
 
 
 @pytest.mark.parametrize("name", [*SINGULAR_MODELS, "pinned beam"])
@@ -928,3 +962,15 @@ def test_emitted_blocks_are_well_formed(name):
             for node, g in zip(block.load_nodes, block.index.tolist()):
                 np.testing.assert_array_equal(system.load_rows[node], first[g] + np.arange(6))
     assert sum(len(b.nodes) * b.rows for b in blocks) == len(system.row_meta)
+
+
+@pytest.mark.parametrize("name", [*AGGREGATION_MODELS, *SINGULAR_MODELS])
+def test_row_accounting_matches_a_count_over_rows(name):
+    """Row counts from the block layout equal counts over every row's
+    (source, kind), in the order of each source's first row."""
+    system = assembly._system({**AGGREGATION_MODELS, **SINGULAR_MODELS}[name]())
+    by_source = collections.Counter(source for source, _ in system.row_meta)
+    by_kind = collections.Counter(kind for _, kind in system.row_meta)
+    assert list(system.rows_by_source().items()) == list(by_source.items())
+    assert system.block_row_counts() == {
+        kind: by_kind[kind] for kind in ("link", "compat", "wrench", "mixed", "load")}

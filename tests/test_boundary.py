@@ -7,7 +7,8 @@ from msakit.boundary import CLAMP, external_load_equations
 from msakit.equations import deflection_var, wrench_var
 from msakit.joints import connection_equations
 
-from helpers import block_residual, cantilever, flexible_platform_model, rel_fro, section_kwargs
+from helpers import (block_residual, cantilever, first_fault, flexible_platform_model,
+                     loaded_junction, rel_fro, section_kwargs)
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
@@ -191,6 +192,7 @@ class TestModelSupportRules:
         with pytest.raises(msakit.ModelError, match=r"no link or platform touches: \['g'\]"):
             m.assemble()
         assert m.check().square
+        assert first_fault(m)[:2] == ("unlinked", ("g",))
 
     def test_load_point_off_the_links_rejected(self):
         # The loaded node j sits in a junction and no link touches it: its
@@ -200,6 +202,11 @@ class TestModelSupportRules:
             m.assemble()
         with pytest.raises(msakit.ModelError, match="load a link end instead"):
             m.cartesian_stiffness()
+        # The audit reports that same fault, so the model is not well-posed.
+        report = m.check()
+        assert report.summary().startswith("60 equations / 60 unknowns, 0 mechanisms")
+        assert [(f.kind, f.names) for f in report.faults] == [("unlinked", ("j",))]
+        assert first_fault(m) == report.faults[0]
 
     def test_junction_loaded_through_a_rigid_link(self):
         m, link = loaded_junction("e")
@@ -218,23 +225,3 @@ class TestModelSupportRules:
         result = m.cartesian_stiffness()
         assert result.diagnostics.mechanisms == 1
         assert result.diagnostics.kc_rank == 5
-
-
-def loaded_junction(end):
-    """Beam a-b clamped at a, and beam c-d with d a free load point; b, c and
-    j are welded in a junction. The end effector is j itself, or e, which a
-    rigid link ties to j."""
-    m = msakit.Model()
-    for node, position in (("a", [0, 0, 0]), ("b", [1.0, 0, 0]), ("c", [1.0, 0, 0]),
-                           ("j", [1.0, 0, 0]), ("d", [1.0, 0.8, 0])):
-        m.add_node(node, position)
-    link = m.add_beam("a", "b", **section_kwargs())
-    m.add_beam("c", "d", **section_kwargs())
-    m.add_support("a", "rigid")
-    m.add_junction(("b", "c", "j"))
-    m.add_load_point("d")
-    if end == "e":
-        m.add_node("e", [1.3, 0.2, 0.1])
-        m.add_rigid_link("j", "e")
-    m.set_end_effector(end)
-    return m, link

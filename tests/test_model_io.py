@@ -11,7 +11,8 @@ import pytest
 import msakit
 from msakit.cli import main
 
-from helpers import flexible_platform_model, free_link_end, section_kwargs, sprung_model
+from helpers import (flexible_platform_model, free_link_end, loaded_junction, section_kwargs,
+                     sprung_model)
 
 
 def cantilever_doc(load=None) -> dict:
@@ -308,6 +309,19 @@ class TestCli:
         path = self._write(tmp_path, cantilever_doc())
         assert main(["check", path]) == 0
         assert "24 equations / 24 unknowns" in capsys.readouterr().out
+
+    def test_check_names_a_structural_fault(self, tmp_path, capsys):
+        # The load point j sits in a junction that no link touches: check
+        # prints the fault that analyze raises, and exits 1.
+        path = tmp_path / "model.json"
+        path.write_text(msakit.serialize_model(msakit.document_from_model(loaded_junction("j")[0])))
+        assert main(["check", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("60 equations / 60 unknowns, 0 mechanisms")
+        assert lines[-1] == ("  fault (unlinked): supports or load points on nodes that no link "
+                             "or platform touches: ['j']; support or load a link end instead")
+        assert main(["analyze", str(path)]) == 1
+        assert "no link or platform touches: ['j']" in capsys.readouterr().err
 
     def test_check_flags_mechanisms(self, tmp_path, capsys):
         data = cantilever_doc()
