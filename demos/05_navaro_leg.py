@@ -22,11 +22,9 @@ for source, rows in system.rows_by_source().items():
 report = leg.check()
 print("\ncheck:", report.summary())
 
-# Internal block after holding the tip: square and regular.
-ps = msakit.partition(system, "e")
-print("internal block:", ps.A.shape)
-
 result = leg.cartesian_stiffness()
+# Internal block after holding the tip: square and regular.
+print("internal block:", result.diagnostics.a_size, "rows, rank", result.diagnostics.a_rank)
 print("\ntip stiffness rank:", result.diagnostics.kc_rank,
       "(one parallelogram freedom is only motor-sprung)")
 print("free direction at the tip:",

@@ -6,14 +6,13 @@ the 6x6 Cartesian stiffness by eliminating internal unknowns; solve loaded
 configurations for full internal states and support reactions.
 """
 from .assembly import (CartesianStiffness, GlobalSystem, ModelReport,
-                       PartitionedSystem, SolverDiagnostics, State, assemble,
-                       cartesian_stiffness, check_model, partition,
-                       solve_loaded)
+                       SolverDiagnostics, State, assemble, cartesian_stiffness,
+                       check_model, solve_loaded)
 from .boundary import equilibrium_residual, support_reaction
-from .core import (Deflection, JointBasis, JointStiffness, Wrench,
-                   joint_basis_preset, make_joint_basis, rotate_link_stiffness,
-                   rotation_matrix, shift_wrench, skew, transport_matrix)
-from .elements import BeamSection, LinkStiffness, beam_stiffness
+from .core import (JointBasis, JointStiffness, Wrench, joint_basis_preset,
+                   make_joint_basis, rotate_link_stiffness, rotation_matrix,
+                   shift_wrench, skew, transport_matrix)
+from .elements import LinkStiffness
 from .errors import FormatError, ModelError
 from .joints import JointSpec
 from .model import Model
@@ -26,16 +25,14 @@ from .reference import (NavaroParams, build_navaro, build_navaro_leg,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamSection", "CartesianStiffness", "Deflection", "FormatError",
-    "GlobalSystem", "JointBasis", "JointSpec", "JointStiffness",
-    "LinkStiffness", "Model", "ModelDocument", "ModelError", "ModelReport",
-    "NavaroParams", "PartitionedSystem", "SolverDiagnostics", "State",
-    "Wrench", "assemble", "beam_stiffness", "build_navaro",
-    "build_navaro_leg", "cartesian_stiffness", "check_model",
-    "document_from_model", "equilibrium_residual", "joint_basis_preset",
-    "make_joint_basis", "oracle_merged_msa", "oracle_serial_vjm",
-    "parse_model", "partition", "rotate_link_stiffness", "rotated_model",
-    "rotation_matrix", "serialize_model", "shift_wrench", "skew",
-    "solve_loaded", "support_reaction", "transport_matrix",
-    "tube_properties",
+    "CartesianStiffness", "FormatError", "GlobalSystem", "JointBasis",
+    "JointSpec", "JointStiffness", "LinkStiffness", "Model", "ModelDocument",
+    "ModelError", "ModelReport", "NavaroParams", "SolverDiagnostics", "State",
+    "Wrench", "assemble", "build_navaro", "build_navaro_leg",
+    "cartesian_stiffness", "check_model", "document_from_model",
+    "equilibrium_residual", "joint_basis_preset", "make_joint_basis",
+    "oracle_merged_msa", "oracle_serial_vjm", "parse_model",
+    "rotate_link_stiffness", "rotated_model", "rotation_matrix",
+    "serialize_model", "shift_wrench", "skew", "solve_loaded",
+    "support_reaction", "transport_matrix", "tube_properties",
 ]

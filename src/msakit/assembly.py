@@ -283,7 +283,7 @@ def assemble(model: Model) -> GlobalSystem:
 
 @dataclass(eq=False)
 class PartitionedSystem:
-    """Global system split around the end-node deflection columns.
+    """A matrix split by `_split` around an end node's deflection columns.
 
     A holds every row except the end load rows, over wrench and internal
     deflection columns; B and D hold the end-node deflection columns; C holds
@@ -295,11 +295,8 @@ class PartitionedSystem:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    b: np.ndarray
     row_perm: np.ndarray
     col_perm: np.ndarray
-    end_node: Hashable
-    shape: tuple
 
 
 def _split(system: GlobalSystem, end: Hashable | None, values: np.ndarray) -> PartitionedSystem:
@@ -324,8 +321,7 @@ def _split(system: GlobalSystem, end: Hashable | None, values: np.ndarray) -> Pa
     right[r[c >= ca], c[c >= ca] - ca] = values[c >= ca]
     bottom[r[r >= ra] - ra, c[r >= ra]] = values[r >= ra]
     return PartitionedSystem(A=A, B=right[:ra], C=bottom[:, :ca], D=right[ra:],
-                             b=system.rhs[row_perm[:ra]], row_perm=row_perm, col_perm=col_perm,
-                             end_node=end, shape=(rows, cols))
+                             row_perm=row_perm, col_perm=col_perm)
 
 
 def _end_node(system: GlobalSystem, end_node: Hashable | None) -> Hashable:
@@ -335,11 +331,6 @@ def _end_node(system: GlobalSystem, end_node: Hashable | None) -> Hashable:
     if end not in system.load_rows:
         raise ModelError(f"end node {end!r} has no external load rows")
     return end
-
-
-def partition(system: GlobalSystem, end_node: Hashable | None = None) -> PartitionedSystem:
-    """The system's blocks around an end node, in physical units."""
-    return _split(system, _end_node(system, end_node), system.matrix.data)
 
 
 @dataclass(eq=False)
@@ -597,7 +588,7 @@ def cartesian_stiffness(system: GlobalSystem,
         # rigid constraints: those directions are locked.
         lock_scale = max(float(np.max(np.abs(fac._scale_rhs(analysis.parts.B) / scale))), 1e-300)
         _, s, vt = np.linalg.svd(analysis.LtB / scale, full_matrices=False)
-        locked = _signed(vt[s > 1e-8 * lock_scale])
+        locked = _directions(vt[s > 1e-8 * lock_scale])
         if locked.shape[0] > 0:
             diag.locked, diag.locked_directions = True, locked
         if locked.shape[0] == 6:
@@ -620,13 +611,27 @@ def cartesian_stiffness(system: GlobalSystem,
     diag.kc_rank = rank
     diag.mechanisms = 6 - rank
     if rank < 6:
-        diag.mechanism_directions = _signed(vt[rank:])
+        diag.mechanism_directions = _directions(vt[rank:])
     return CartesianStiffness(kc=kc, diagnostics=diag)
 
 
-def _signed(rows: np.ndarray) -> np.ndarray:
-    """Unit rows from an SVD, each flipped so that its largest-magnitude
-    component is positive: the same direction then reads the same."""
+def _directions(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows from an SVD, each flipped so that its largest-magnitude
+    component is positive. An SVD may turn two or more rows by any rotation
+    in their span, so those are rebuilt from their span alone: Gram-Schmidt
+    (twice) of the projector's columns in index order, a column joining while
+    more than 0.1 of its squared norm is new (the residual projector keeps a
+    trace of at least one until all k have joined). The projector is rounded
+    to 1e-12 first, so a rounding-level change, which could flip a row whose
+    largest components tie, leaves the rows bitwise alike."""
+    if rows.shape[0] > 1:
+        P, basis = np.round(rows.T @ rows, 12), np.zeros((0, rows.shape[1]))
+        for col in P.T:
+            for _ in range(2):
+                col = col - basis.T @ (basis @ col)
+            if len(basis) < rows.shape[0] and col @ col > 0.1:
+                basis = np.vstack([basis, col / np.linalg.norm(col)])
+        rows = basis
     peak = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
     return rows * np.copysign(1.0, peak)[:, None]
 
@@ -728,7 +733,6 @@ class ModelReport:
     rank: int
     mechanisms: int
     redundant: int
-    dangling: list
     connectivity: dict
     mechanism_nodes: list            # nodes that move in a mechanism of the held structure
     faults: list                     # the findings that keep `assemble` from accepting it
@@ -806,7 +810,6 @@ def check_model(model: Model) -> ModelReport:
         rank=rank,
         mechanisms=mechanisms,
         redundant=rows - rank,
-        dangling=next((list(f.names) for f in faults if f.kind == "dangling"), []),
         connectivity=system.connectivity,
         mechanism_nodes=mechanism_nodes,
         faults=faults,

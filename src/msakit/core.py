@@ -1,4 +1,4 @@
-"""Screw-algebra primitives: deflections, wrenches, transport operators, joint bases.
+"""Screw-algebra primitives: wrenches, transport operators, rotations, joint bases.
 
 All 6-vectors are ordered (translation; rotation) for deflections and
 (force; moment) for wrenches, and every quantity lives in the global frame.
@@ -81,27 +81,6 @@ def shift_wrench(w, r) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Deflection:
-    """Infinitesimal node displacement: translation p (m) and rotation phi (rad)."""
-
-    p: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _freeze(_as_vector(self.p, 3, "p")))
-        object.__setattr__(self, "phi", _freeze(_as_vector(self.phi, 3, "phi")))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.concatenate([self.p, self.phi])
-
-    @classmethod
-    def from_array(cls, a) -> "Deflection":
-        a = _as_vector(a, 6, "deflection")
-        return cls(a[:3], a[3:])
-
-
-@dataclass(frozen=True, eq=False)
 class Wrench:
     """Node wrench: force F (N) and moment M (N*m)."""
 
@@ -120,10 +99,6 @@ class Wrench:
     def from_array(cls, a) -> "Wrench":
         a = _as_vector(a, 6, "wrench")
         return cls(a[:3], a[3:])
-
-    def about_origin(self, position) -> np.ndarray:
-        """Equivalent wrench at the global origin for application point `position`."""
-        return shift_wrench(self.array, _as_vector(position, 3, "position"))
 
 
 def transport_matrix(d) -> np.ndarray:
@@ -152,10 +127,9 @@ def rotate_link_stiffness(K, R) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.shape != (12, 12):
         raise ModelError(f"stiffness matrix must be 12x12, got {K.shape}")
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not is_rotation(R):
+    if not is_rotation(R):
         raise ModelError("R must be a proper rotation matrix (orthonormal, det +1)")
-    return _rotate_blocks(K, R)
+    return _rotate_blocks(K, np.asarray(R, dtype=float))
 
 
 def _rotate_blocks(K: np.ndarray, R: np.ndarray) -> np.ndarray:

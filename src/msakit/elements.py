@@ -12,39 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import _as_vector, _freeze, _rotate_blocks, _transports
+from .core import _freeze, _rotate_blocks, _transports
 from .equations import EYE6, NEG_EYE6, EquationBlock
 from .errors import ModelError
 
 # Relative symmetry tolerance for user-supplied 12x12 matrices (CAD-extracted
 # matrices carry numerical asymmetry); worse than this is rejected.
 USER_MATRIX_SYM_TOL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class BeamSection:
-    """Uniform beam data: material, cross-section, length and axis direction."""
-
-    E: float          # Young's modulus (Pa)
-    G: float          # shear modulus (Pa)
-    A: float          # cross-section area (m^2)
-    L: float          # length (m)
-    Iy: float         # second moment about local y (m^4)
-    Iz: float         # second moment about local z (m^4)
-    J: float          # torsion constant (m^4)
-    axis: np.ndarray  # unit vector from first to second node
-
-    def __post_init__(self):
-        _check_section(E=self.E, G=self.G, A=self.A, L=self.L, Iy=self.Iy, Iz=self.Iz, J=self.J)
-        axis = _as_vector(self.axis, 3, "axis")
-        n = np.linalg.norm(axis)
-        if abs(n - 1.0) > 1e-6:
-            raise ModelError(f"beam axis must be unit-norm, |axis| = {n}")
-        object.__setattr__(self, "axis", _freeze(axis / n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +58,6 @@ class LinkStiffness:
             raise ModelError("link stiffness must be positive semidefinite")
         object.__setattr__(link, "K", _freeze(K))
         return link
-
-    def with_nodes(self, i: Hashable, j: Hashable) -> "LinkStiffness":
-        return LinkStiffness(self.K, (i, j))
 
     @property
     def K11(self) -> np.ndarray:
@@ -148,12 +123,12 @@ def _check_section(**values) -> None:
 
 
 def _beam_matrix(E, G, A, L, Iy, Iz, J, axis) -> np.ndarray:
-    """Global-frame 12x12 matrix of a uniform beam along `axis`, for a
-    checked section: the local element rotated by one block-diagonal
+    """Global-frame 12x12 matrix of a uniform beam along `axis` (a nonzero
+    3-array of any length), for a checked section: the local element rotated by one block-diagonal
     product into the right-handed frame with x along `axis` (y = z x axis,
     or y x axis when the axis is nearly along z), then symmetrized to drop
     the rotation's roundoff asymmetry."""
-    a, b, c = _as_vector(axis, 3, "axis").tolist()
+    a, b, c = axis.tolist()
     n = math.sqrt(a * a + b * b + c * c)
     a, b, c = a / n, b / n, c / n
     ya, yb, yc = (-b, a, 0.0) if abs(c) <= 1.0 - 1e-9 else (c, 0.0, -a)
@@ -162,12 +137,6 @@ def _beam_matrix(E, G, A, L, Iy, Iz, J, axis) -> np.ndarray:
     R = np.array([[a, ya, b * yc - c * yb], [b, yb, c * ya - a * yc], [c, yc, a * yb - b * ya]])
     k = _rotate_blocks(_local_beam_matrix(E, G, A, L, Iy, Iz, J), R)
     return 0.5 * (k + k.T)
-
-
-def beam_stiffness(section: BeamSection, nodes: tuple | None = None) -> LinkStiffness:
-    """Global-frame 12x12 stiffness of a uniform beam element (on `nodes`, if given)."""
-    s = section
-    return LinkStiffness(_beam_matrix(s.E, s.G, s.A, s.L, s.Iy, s.Iz, s.J, s.axis), nodes)
 
 
 def flexible_link_equations(links: Sequence[LinkStiffness], d) -> EquationBlock:

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-
-# Variable reference: ("W", node) for a wrench, ("t", node) for a deflection.
-Var = tuple
 
 # Read-only identity blocks, shared by the emitters' entries.
 EYE6 = np.eye(6)
@@ -26,14 +23,6 @@ EYE6.flags.writeable = NEG_EYE6.flags.writeable = False
 
 # Kinds of constraint rows by code: 1 (deflections only), 2 (wrenches only), 3 (both).
 _ROW_KINDS = ("", "compat", "wrench", "mixed")
-
-
-def wrench_var(node: Hashable) -> Var:
-    return ("W", node)
-
-
-def deflection_var(node: Hashable) -> Var:
-    return ("t", node)
 
 
 @dataclass(eq=False)
@@ -63,12 +52,6 @@ class EquationBlock:
         if self.index is None:
             self.index = np.arange(len(self.nodes))
 
-    @property
-    def variables(self) -> list:
-        """The block's variables in order of first use, record by record."""
-        return list(dict.fromkeys((kind, record[slot]) for record in self.nodes
-                                  for _, kind, slot, _ in self.entries))
-
     def row_kinds(self) -> list:
         """Kind of each of a record's rows: link, load, compat, wrench or mixed."""
         if self.category != "constraint":
@@ -78,19 +61,6 @@ class EquationBlock:
             for k in range(row, row + sub.shape[-2]):
                 codes[k] |= 1 if kind == "t" else 2
         return [_ROW_KINDS[code] for code in codes]
-
-    def dense(self, variables: Sequence[Var] | None = None) -> tuple:
-        """Dense coefficient matrix of the records' rows, in block order, over
-        `variables` (default: this block's own), and the variables; handy for
-        rank audits."""
-        variables = self.variables if variables is None else list(variables)
-        col = {var: 6 * k for k, var in enumerate(variables)}
-        M = np.zeros((len(self.nodes) * self.rows, 6 * len(variables)))
-        for k, record in enumerate(self.nodes):
-            for row, kind, slot, sub in self.entries:
-                r, c = self.rows * k + row, col[kind, record[slot]]
-                M[r:r + sub.shape[-2], c:c + 6] += sub if sub.ndim == 2 else sub[k]
-        return M, variables
 
 
 def layout(blocks: Sequence[EquationBlock], index: Mapping) -> tuple:

@@ -17,8 +17,8 @@ from typing import Hashable
 
 import numpy as np
 
-from .core import (JointStiffness, _rotate_blocks, block_rotation, joint_basis_preset,
-                   rotation_matrix, transport_matrix)
+from .core import (JointStiffness, _rotate_blocks, block_rotation, is_rotation,
+                   joint_basis_preset, rotation_matrix, transport_matrix)
 from .errors import ModelError
 from .model import Model
 
@@ -317,6 +317,8 @@ def rotated_model(model: Model, R) -> Model:
     Node positions, link matrices, joint bases, support bases and preloads
     are all conjugated; platform offsets follow the positions automatically.
     """
+    if not is_rotation(R):
+        raise ModelError("R must be a proper rotation matrix (orthonormal, det +1)")
     R = np.asarray(R, dtype=float)
     out = Model()
     for node, pos in model.positions.items():

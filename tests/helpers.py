@@ -15,6 +15,15 @@ def section_kwargs(**overrides) -> dict:
     return base
 
 
+def beam_link(p=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0), nodes=("i", "j"), **overrides):
+    """The LinkStiffness that `add_beam` returns for a beam from p to q,
+    bound to `nodes`, on a two-node model of its own."""
+    m = msakit.Model()
+    m.add_node(nodes[0], p)
+    m.add_node(nodes[1], q)
+    return m.add_beam(*nodes, **section_kwargs(**overrides))
+
+
 def cantilever(L: float = 1.0, **overrides):
     """Single beam clamped at 'a', loaded end 'b'; returns (model, link)."""
     m = msakit.Model()
@@ -77,13 +86,8 @@ def flexible_platform_model() -> msakit.Model:
     m.add_node("c0", [1.0, 0, 0])
     m.add_node("c1", [-1.0, 0, 0])
     m.add_node("e", [0.0, 0, 0])
-    K = {}
-    for clamp in ("c0", "c1"):
-        d = m.position_of("e") - m.position_of(clamp)
-        L = np.linalg.norm(d)
-        K[clamp] = msakit.beam_stiffness(
-            msakit.BeamSection(L=L, axis=d / L, **section_kwargs()))
-    m.add_flexible_platform(K, "e")
+    m.add_flexible_platform({clamp: beam_link(m.position_of(clamp), m.position_of("e"))
+                             for clamp in ("c0", "c1")}, "e")
     m.add_support("c0", "rigid")
     m.add_support("c1", "rigid")
     m.set_end_effector("e")
@@ -159,10 +163,14 @@ def first_fault(model):
     return report.faults[0]
 
 
-def stack_dense(blocks, variables) -> np.ndarray:
-    """Vertically stack several blocks over a shared variable ordering."""
-    parts = [b.dense(variables)[0] for b in blocks]
-    return np.vstack(parts) if parts else np.zeros((0, 6 * len(variables)))
+def wrench_var(node):
+    """Key of a node's wrench in the entries of a block: ("W", node)."""
+    return ("W", node)
+
+
+def deflection_var(node):
+    """Key of a node's deflection in the entries of a block: ("t", node)."""
+    return ("t", node)
 
 
 def record_entries(block):

@@ -14,7 +14,8 @@ from msakit.joints import connection_equations, joint_spec
 from msakit.core import block_rotation
 from msakit.elements import rigid_link_equations, rigid_platform_equations
 
-from helpers import cantilever, random_chain, rel_fro, section_kwargs
+from helpers import (cantilever, deflection_var, entries_dense, random_chain, rel_fro,
+                     section_kwargs, wrench_var)
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
@@ -77,7 +78,8 @@ def test_criterion_3_oracle_equivalence_on_random_chains():
 def test_criterion_4_rank_claims():
     with criterion(4, "rigid link rank 12/24 and 3-clamp platform rank 24/48"):
         link = rigid_link_equations([[0.4, -0.2, 0.7]], [("i", "j")])
-        M, _ = link.dense()
+        M = entries_dense(link, [deflection_var("i"), deflection_var("j"),
+                                 wrench_var("i"), wrench_var("j")])
         assert M.shape == (12, 24)
         s_max = np.linalg.svd(M, compute_uv=False)[0]
         assert np.linalg.matrix_rank(M, tol=1e-10 * s_max) == 12
@@ -85,7 +87,8 @@ def test_criterion_4_rank_claims():
         clamps = [("c0", np.array([1.0, 0, 0])), ("c1", np.array([-0.5, 0.8, 0])),
                   ("c2", np.array([-0.5, -0.8, 0.3]))]
         platform = rigid_platform_equations([clamps], ["e"])
-        P, _ = platform.dense()
+        nodes = ["c0", "c1", "c2", "e"]
+        P = entries_dense(platform, [deflection_var(n) for n in nodes] + [wrench_var(n) for n in nodes])
         assert P.shape == (24, 48)
         s_max = np.linalg.svd(P, compute_uv=False)[0]
         assert np.linalg.matrix_rank(P, tol=1e-10 * s_max) == 24

@@ -5,33 +5,28 @@ import pytest
 import msakit
 from msakit.elements import (flexible_link_equations, flexible_platform_equations,
                              rigid_link_equations, rigid_platform_equations)
-from msakit.equations import deflection_var, wrench_var
 
-from helpers import block_residual, cantilever, section_kwargs
-
-
-def _section(L=1.0, axis=(1, 0, 0), **overrides):
-    kw = section_kwargs(**overrides)
-    return msakit.BeamSection(L=L, axis=axis, **kw)
+from helpers import (beam_link, block_residual, cantilever, deflection_var, entries_dense,
+                     record_entries, section_kwargs, wrench_var)
 
 
 class TestBeamStiffness:
     def test_axial_entry(self):
-        s = _section()
-        K = msakit.beam_stiffness(s).K
-        np.testing.assert_allclose(K[0, 0], s.E * s.A / s.L, rtol=1e-12)
+        s, L = section_kwargs(), 1.0
+        K = beam_link(q=[L, 0, 0]).K
+        np.testing.assert_allclose(K[0, 0], s["E"] * s["A"] / L, rtol=1e-12)
 
     def test_cantilever_tip_compliance(self):
-        s = _section()
-        link = msakit.beam_stiffness(s)
+        s, L = section_kwargs(), 1.0
+        link = beam_link(q=[L, 0, 0])
         c = np.linalg.inv(link.K22)
-        np.testing.assert_allclose(c[1, 1], s.L**3 / (3 * s.E * s.Iz), rtol=1e-12)
-        np.testing.assert_allclose(c[2, 2], s.L**3 / (3 * s.E * s.Iy), rtol=1e-12)
+        np.testing.assert_allclose(c[1, 1], L**3 / (3 * s["E"] * s["Iz"]), rtol=1e-12)
+        np.testing.assert_allclose(c[2, 2], L**3 / (3 * s["E"] * s["Iy"]), rtol=1e-12)
 
     def test_rigid_body_modes_cost_nothing(self):
         axis = np.array([1.0, 2.0, -0.5]) / np.sqrt(5.25)
         L = 0.9
-        K = msakit.beam_stiffness(_section(L=L, axis=axis)).K
+        K = beam_link(q=L * axis).K
         norm = np.linalg.norm(K)
         # Pure translation of both ends.
         for delta in np.eye(3):
@@ -45,12 +40,12 @@ class TestBeamStiffness:
             assert np.linalg.norm(K @ mode) <= 1e-9 * norm
 
     def test_length_scaling_cubes_transverse_compliance(self):
-        c1 = np.linalg.inv(msakit.beam_stiffness(_section(L=1.0)).K22)[1, 1]
-        c2 = np.linalg.inv(msakit.beam_stiffness(_section(L=2.0)).K22)[1, 1]
+        c1 = np.linalg.inv(beam_link(q=[1.0, 0, 0]).K22)[1, 1]
+        c2 = np.linalg.inv(beam_link(q=[2.0, 0, 0]).K22)[1, 1]
         np.testing.assert_allclose(c2 / c1, 8.0, rtol=1e-12)
 
     def test_symmetric_psd_rank_six(self):
-        K = msakit.beam_stiffness(_section(axis=np.array([0.0, 0.6, 0.8]))).K
+        K = beam_link(q=[0.0, 0.6, 0.8]).K
         np.testing.assert_array_equal(K, K.T)
         w = np.linalg.eigvalsh(K)
         assert w.min() >= -1e-9 * w.max()
@@ -58,12 +53,10 @@ class TestBeamStiffness:
 
     def test_degenerate_section_rejected(self):
         for field in ("E", "G", "A", "Iy", "Iz", "J"):
-            with pytest.raises(ValueError):
-                _section(**{field: 0.0})
-        with pytest.raises(ValueError):
-            _section(L=-1.0)
-        with pytest.raises(ValueError):
-            msakit.BeamSection(L=1.0, axis=[2.0, 0, 0], **section_kwargs())
+            with pytest.raises(ValueError, match=f"beam section {field} must be positive"):
+                beam_link(**{field: 0.0})
+        with pytest.raises(ValueError, match="zero length"):
+            beam_link(q=[0.0, 0, 0])
 
     def test_matches_merged_oracle_on_cantilever(self):
         model, link = cantilever()
@@ -73,20 +66,20 @@ class TestBeamStiffness:
 
 class TestLinkStiffness:
     def test_user_matrix_symmetrized(self):
-        K = msakit.beam_stiffness(_section()).K.copy()
+        K = beam_link().K.copy()
         K[0, 1] += 1e-8 * np.abs(K).max() * 0  # keep symmetric first
         noisy = K + 1e-8 * np.abs(K).max() * np.triu(np.ones((12, 12)), 1)
         link = msakit.LinkStiffness.from_matrix(noisy, ("i", "j"))
         np.testing.assert_array_equal(link.K, link.K.T)
 
     def test_user_matrix_asymmetry_rejected(self):
-        K = msakit.beam_stiffness(_section()).K.copy()
+        K = beam_link().K.copy()
         bad = K + 1e-3 * np.abs(K).max() * np.triu(np.ones((12, 12)), 1)
         with pytest.raises(ValueError):
             msakit.LinkStiffness.from_matrix(bad)
 
     def test_blocks(self):
-        link = msakit.beam_stiffness(_section())
+        link = beam_link()
         np.testing.assert_array_equal(link.K11, link.K[:6, :6])
         np.testing.assert_array_equal(link.K12, link.K[:6, 6:])
         np.testing.assert_array_equal(link.K21, link.K[6:, :6])
@@ -95,7 +88,7 @@ class TestLinkStiffness:
 
 class TestFlexibleLinkEquations:
     def _block(self):
-        link = msakit.beam_stiffness(_section()).with_nodes("i", "j")
+        link = beam_link()
         return link, flexible_link_equations([link], [[1.0, 0, 0]])
 
     def test_row_count_and_category(self):
@@ -146,9 +139,10 @@ class TestFlexibleLinkEquations:
         m = msakit.Model()
         m.add_node("i", [0, 0, 0])
         m.add_node("j", [1.0, 0, 0])
-        link = m.add_flexible_link("i", "j", msakit.beam_stiffness(_section()))
+        link = m.add_flexible_link("i", "j", beam_link(nodes=("p", "q")))
         assert link.nodes == ("i", "j")
-        assert flexible_link_equations([link], [[1.0, 0, 0]]).variables[0] == wrench_var("i")
+        block = flexible_link_equations([link], [[1.0, 0, 0]])
+        assert next(record_entries(block))[1] == wrench_var("i")
 
 
 class TestFreeBodyGate:
@@ -159,7 +153,7 @@ class TestFreeBodyGate:
         m = msakit.Model()
         m.add_node("i", [0, 0, 0])
         m.add_node("j", [1.01, 0, 0])
-        return m, msakit.beam_stiffness(_section())
+        return m, beam_link()
 
     def test_flexible_link_rejected(self):
         m, link = self._stretched()
@@ -210,7 +204,8 @@ class TestRigidLinkEquations:
 
     def test_rank_twelve_over_24_unknowns(self):
         block = rigid_link_equations([[0.3, 0.4, 0.5]], [("i", "j")])
-        M, variables = block.dense()
+        M = entries_dense(block, [deflection_var("i"), deflection_var("j"),
+                                  wrench_var("i"), wrench_var("j")])
         assert M.shape == (12, 24)
         s_max = np.linalg.svd(M, compute_uv=False)[0]
         assert np.linalg.matrix_rank(M, tol=1e-10 * s_max) == 12
@@ -232,7 +227,8 @@ class TestRigidPlatformEquations:
         clamps, _ = self._clamps()
         block = rigid_platform_equations([clamps], ["e"])
         assert block.rows == 24
-        M, _ = block.dense()
+        nodes = ["c0", "c1", "c2", "e"]
+        M = entries_dense(block, [deflection_var(n) for n in nodes] + [wrench_var(n) for n in nodes])
         assert M.shape == (24, 48)
         s_max = np.linalg.svd(M, compute_uv=False)[0]
         assert np.linalg.matrix_rank(M, tol=1e-10 * s_max) == 24
@@ -242,8 +238,8 @@ class TestRigidPlatformEquations:
         platform = rigid_platform_equations([[("i", d)]], ["j"])
         link = rigid_link_equations([d], [("i", "j")])
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
-        P = platform.dense(order)[0]
-        L = link.dense(order)[0]
+        P = entries_dense(platform, order)
+        L = entries_dense(link, order)
         # Displacement rows coincide; equilibrium rows span the same constraints
         # (the platform states them about its end point).
         np.testing.assert_allclose(P[:6], L[:6], atol=1e-15)
@@ -291,8 +287,7 @@ class TestFlexiblePlatformEquations:
         for k in range(n):
             axis = np.array([np.cos(2 * np.pi * k / max(n, 1)), np.sin(2 * np.pi * k / max(n, 1)), 0.4])
             axis /= np.linalg.norm(axis)
-            link = msakit.beam_stiffness(_section(L=0.5, axis=axis)).with_nodes(f"c{k}", "e")
-            out.append((link, 0.5 * axis))
+            out.append((beam_link(-0.5 * axis, [0, 0, 0], (f"c{k}", "e")), 0.5 * axis))
         return out
 
     def test_single_clamp_matches_flexible_link(self):
@@ -345,7 +340,7 @@ class TestFlexiblePlatformEquations:
         assert np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(l.K) for l in links)
 
     def test_builder_binds_links_to_the_end_node(self):
-        link = msakit.beam_stiffness(_section()).with_nodes("c0", "not_e")
+        link = beam_link(nodes=("c0", "not_e"))
         m = msakit.Model()
         m.add_node("c0", [0, 0, 0])
         m.add_node("e", [1.0, 0, 0])

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import msakit
-from msakit.equations import deflection_var, wrench_var
 from msakit.joints import joint_spec
 
-from helpers import block_residual, connection_block, section_kwargs
+from helpers import (block_residual, connection_block, deflection_var, entries_dense,
+                     section_kwargs, wrench_var)
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
@@ -199,7 +199,7 @@ class TestActuatedJoint:
         block = connection_block(spec)
         ref = rigid_joint(("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
-        np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
+        np.testing.assert_array_equal(entries_dense(block, order), entries_dense(ref, order))
 
     def test_as_elastic_delegates(self):
         ks = msakit.JointStiffness([[1e4]])
@@ -208,7 +208,7 @@ class TestActuatedJoint:
         block = connection_block(spec)
         ref = elastic_joint(RZ, ks, ("i", "j"))
         order = [deflection_var("i"), deflection_var("j"), wrench_var("i"), wrench_var("j")]
-        np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
+        np.testing.assert_array_equal(entries_dense(block, order), entries_dense(ref, order))
 
     def test_missing_stiffness_rejected(self):
         with pytest.raises(ValueError):
@@ -251,7 +251,7 @@ class TestJunction:
         block = junction(("i", "j", "k"))
         ref = rigid_joint(("i", "j", "k"))
         order = [deflection_var(n) for n in "ijk"] + [wrench_var(n) for n in "ijk"]
-        np.testing.assert_array_equal(block.dense(order)[0], ref.dense(order)[0])
+        np.testing.assert_array_equal(entries_dense(block, order), entries_dense(ref, order))
 
     def test_junction_statics_and_kinematics(self):
         block = junction(("6", "9"), [("7", RZ)])
@@ -320,7 +320,7 @@ def test_template_spans_the_grouped_rows(name):
         carrier, attachments = ("j",), ("i",)
     block = connection_block(spec)
     variables = [deflection_var(n) for n in spec.nodes] + [wrench_var(n) for n in spec.nodes]
-    new = block.dense(variables)[0]
+    new = entries_dense(block, variables)
     old = _grouped_rows(carrier, attachments, basis, variables)
     assert old.shape == new.shape
     rank = np.linalg.matrix_rank

@@ -11,8 +11,8 @@ import pytest
 import msakit
 from msakit.cli import main
 
-from helpers import (flexible_platform_model, free_link_end, loaded_junction, section_kwargs,
-                     sprung_model)
+from helpers import (beam_link, flexible_platform_model, free_link_end, loaded_junction,
+                     section_kwargs, sprung_model)
 
 
 def cantilever_doc(load=None) -> dict:
@@ -99,8 +99,7 @@ class TestParse:
         assert err.value.path == f"$.{where}[{index}]"
 
     def test_asymmetric_matrix_rejected(self):
-        K = msakit.beam_stiffness(
-            msakit.BeamSection(L=1.0, axis=[1, 0, 0], **section_kwargs())).K.copy()
+        K = beam_link().K.copy()
         K[0, 1] += 0.01 * np.abs(K).max()
         data = cantilever_doc()
         data["links"][0] = {"type": "flexible", "nodes": ["a", "b"], "stiffness": K.tolist()}
@@ -110,7 +109,7 @@ class TestParse:
 
     def test_link_off_its_nodes_is_a_format_error_at_its_entry(self):
         # A 1 m beam matrix between nodes 1.01 m apart is not a free body there.
-        K = msakit.beam_stiffness(msakit.BeamSection(L=1.0, axis=[1, 0, 0], **section_kwargs())).K
+        K = beam_link().K
         data = cantilever_doc()
         data["nodes"][1]["position"] = [1.01, 0.0, 0.0]
         data["links"][0] = {"type": "flexible", "nodes": ["a", "b"], "stiffness": K.tolist()}

@@ -6,7 +6,7 @@ import msakit
 from msakit.core import block_rotation
 from msakit.reference import tube_properties
 
-from helpers import cantilever, random_chain, rel_fro, section_kwargs
+from helpers import beam_link, cantilever, random_chain, rel_fro, section_kwargs
 
 
 class TestLegBuilder:
@@ -19,8 +19,7 @@ class TestLegBuilder:
 
     def test_internal_block_size(self):
         leg = msakit.build_navaro_leg()
-        ps = msakit.partition(leg.assemble(), "e")
-        assert ps.A.shape == (114, 114)
+        assert leg.cartesian_stiffness("e").diagnostics.a_size == 114
 
     def test_aggregated_coefficient_blocks(self):
         # Wrench/deflection columns split across constraint rows (S, K) and
@@ -115,11 +114,8 @@ class TestManipulatorBuilder:
         platform, = nav.platforms
         stiff = {}
         for clamp in platform.clamps:
-            d = soft.position_of(platform.end) - soft.position_of(clamp)
-            L = np.linalg.norm(d)
-            section = msakit.BeamSection(L=L, axis=d / L,
-                                         **{**section_kwargs(), "E": 2.1e13, "G": 8.1e12})
-            stiff[clamp] = msakit.beam_stiffness(section).with_nodes(clamp, platform.end)
+            stiff[clamp] = beam_link(soft.position_of(clamp), soft.position_of(platform.end),
+                                     (clamp, platform.end), E=2.1e13, G=8.1e12)
         soft.add_flexible_platform(stiff, platform.end)
         kc_soft = soft.cartesian_stiffness().kc
         # Close, but not the rigid platform's Kc.
@@ -251,6 +247,20 @@ class TestTripleAgreement:
             assert rel_fro(km, kv) <= 1e-8
 
 
+def _welded_lever() -> msakit.Model:
+    """A clamped beam, a rigid joint at its tip and a rigid link beyond it."""
+    m = msakit.Model()
+    for node, position in (("a", [0, 0, 0]), ("b", [1.0, 0, 0]), ("c", [1.0, 0, 0]),
+                           ("d", [1.0, 0.5, 0])):
+        m.add_node(node, position)
+    m.add_beam("a", "b", **section_kwargs())
+    m.add_joint("rigid", ("b", "c"))
+    m.add_rigid_link("c", "d")
+    m.add_support("a", "rigid")
+    m.set_end_effector("d")
+    return m
+
+
 class TestRotatedModel:
     def test_leg_equivariance_with_bases(self):
         leg = msakit.build_navaro_leg()
@@ -267,3 +277,11 @@ class TestRotatedModel:
         kc_rot = msakit.rotated_model(nav, R).cartesian_stiffness().kc
         Q = block_rotation(R, 2)
         assert rel_fro(kc_rot, Q @ kc @ Q.T) <= 1e-8
+
+    @pytest.mark.parametrize("R", [2 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(2)],
+                             ids=["scaled", "reflection", "2x2"])
+    @pytest.mark.parametrize("build", [lambda: cantilever()[0], _welded_lever],
+                             ids=["one beam", "beam, rigid joint and rigid link"])
+    def test_improper_rotation_rejected(self, build, R):
+        with pytest.raises(msakit.ModelError, match="R must be a proper rotation matrix"):
+            msakit.rotated_model(build(), R)
