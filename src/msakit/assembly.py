@@ -12,7 +12,6 @@ not depend on units. Results are reported in physical units.
 from __future__ import annotations
 
 import collections
-import functools
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from typing import Hashable, Mapping
@@ -37,7 +36,8 @@ PIVOT_RTOL = 1e-10
 # Diagonal shift that locates the singular rows and columns of a block whose
 # LU met an exactly zero pivot; far below PIVOT_RTOL.
 PIVOT_SHIFT = 1e-13
-# Seed of the random right-hand sides and borders of the bordered solve.
+# Seed of the random right-hand sides whose solves place the borders that
+# the matching does not.
 BORDER_SEED = 0
 # Share of a mechanism below which a node is not named as taking part in it.
 MECHANISM_SHARE = 1e-6
@@ -121,15 +121,6 @@ class GlobalSystem:
     def __post_init__(self):
         self._index = {node: k for k, node in enumerate(self.nodes)}
         self._analyses: dict = {}
-
-    @functools.cached_property
-    def row_meta(self) -> list:
-        """(source, kind) per row, built on first read."""
-        meta: list = [None] * self.matrix.shape[0]
-        for sources, base, kinds in self._rows:
-            for source, first in zip(sources, base.tolist()):
-                meta[first:first + len(kinds)] = [(source, kind) for kind in kinds]
-        return meta
 
     @property
     def n_nodes(self) -> int:
@@ -362,11 +353,7 @@ class CartesianStiffness:
 
 def _lu(M: scipy.sparse.csc_matrix) -> tuple:
     """splu of M and its number of pivots below PIVOT_RTOL; (None, 0) when
-    SuperLU breaks down on an exactly zero pivot, and without calling it when
-    M has an empty row or column (SuperLU can crash on such a matrix)."""
-    n = M.shape[0]
-    if not (np.diff(M.indptr).all() and np.bincount(M.indices, minlength=n).all()):
-        return None, 0
+    SuperLU breaks down on an exactly zero pivot."""
     try:
         lu = scipy.sparse.linalg.splu(M)
     except RuntimeError:
@@ -375,11 +362,25 @@ def _lu(M: scipy.sparse.csc_matrix) -> tuple:
     return lu, int(np.sum(~(u > PIVOT_RTOL * u.max(initial=0.0))))
 
 
-def _peaks(Y: np.ndarray) -> np.ndarray:
-    """Indices of the rows of Y that a column-pivoted QR of Y^T picks first:
-    where the directions spanned by Y's columns are largest and distinct."""
-    _, order = scipy.linalg.qr(Y.T, mode="r", pivoting=True, check_finite=False)
-    return order[:Y.shape[1]]
+def _peaks(Y: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Indices of the rows of Y, outside `taken`, that a column-pivoted QR of
+    Y^T picks first: where the directions spanned by Y's columns are largest
+    and distinct."""
+    free = np.ones(len(Y), dtype=bool)
+    free[taken] = False
+    free = np.flatnonzero(free)
+    _, order = scipy.linalg.qr(Y[free].T, mode="r", pivoting=True, check_finite=False)
+    return free[order[:Y.shape[1]]]
+
+
+def _bordered(A: scipy.sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray):
+    """M = [A U; V^T 0] in CSC, with unit borders U at `rows` and V at `cols`;
+    A itself when there are none."""
+    if not rows.size:
+        return A.tocsc()
+    n, k, A = A.shape[0], len(rows), A.tocoo()
+    return scipy.sparse.csc_matrix((np.r_[A.data, np.ones(2 * k)], (
+        np.r_[A.row, rows, n:n + k], np.r_[A.col, n:n + k, cols])), shape=(n + k, n + k))
 
 
 class _Factorization:
@@ -387,16 +388,18 @@ class _Factorization:
     an `_Analysis`, shared by the stiffness, solve and audit paths. Row
     scaling never changes solutions.
 
-    A singular block is bordered (Keller's bordering; T. F. Chan, SIAM J.
-    Numer. Anal. 21, 1984): M = [A U; V^T 0], with unit borders at the k rows
-    and columns that a maximum matching of A's pattern leaves unmatched
-    (Dulmage-Mendelsohn; Pothen and Fan, ACM TOMS 16, 1990), is factored once.
-    When that M is singular too, or A only in its numbers (its LU leaves
-    pivots below PIVOT_RTOL), the borders go where k solves through the tiny
-    pivots, a step of inverse iteration, peak. The trailing k x k block T of
-    M^-1 is singular exactly where A is; its null vectors map to orthonormal
-    bases of null(A) and null(A^T). Solves then return the minimum-norm
-    least-squares solution from the same LU.
+    The block A is bordered (Keller's bordering; T. F. Chan, SIAM J. Numer.
+    Anal. 21, 1984) at the rows and columns that a maximum matching of its
+    pattern leaves unmatched (Dulmage-Mendelsohn; Pothen and Fan, ACM TOMS
+    16, 1990): M = [A U; V^T 0] with unit borders, which is A itself when
+    the matching is perfect, is factored. When that LU breaks down or leaves
+    pivots below PIVOT_RTOL, A is singular in its numbers too: more borders
+    go where solves with M (or M + PIVOT_SHIFT I after a breakdown) through
+    the tiny pivots, a step of inverse iteration, peak, and M is factored
+    once more. The trailing k x k block T of M^-1 is singular exactly where
+    A is; its null vectors map to orthonormal bases of null(A) and null(A^T).
+    Solves then return the minimum-norm least-squares solution from the same
+    LU.
     """
 
     def __init__(self, A: scipy.sparse.csr_matrix):
@@ -407,49 +410,39 @@ class _Factorization:
         row_max[row_max == 0.0] = 1.0
         self._row_scale = 1.0 / row_max
         A = scipy.sparse.csr_matrix((A.data * self._row_scale[row], A.indices, A.indptr), A.shape)
-        self.null_right = self.null_left = np.zeros((n, 0))
         match = maximum_bipartite_matching(A, perm_type="column")
-        rows = np.flatnonzero(match < 0)
-        if not (rows.size and self._border(A, rows, np.setdiff1d(np.arange(n), match))):
-            self._M = A.tocsc()
-            self._lu, tiny = _lu(self._M)
-            if self._lu is None or tiny > 0:
-                self._border_at_peaks(A, tiny)
-        self.pseudo_inverse = self._M.shape[0] > n
-        self.rank = n - self.null_right.shape[1]
-        u = np.abs(self._lu.U.diagonal())
-        self.condition_estimate = float(u.max() / u.min())
-
-    def _border_at_peaks(self, A: scipy.sparse.csr_matrix, k: int) -> None:
-        lu, k = (self._lu, k) if self._lu is not None else _lu(   # a zero pivot: a shift exposes it
-            (A + PIVOT_SHIFT * scipy.sparse.eye(self.n, format="csr")).tocsc())
-        if lu is None:
-            raise ModelError("the bordered LU of a singular block did not factor")
-        R = np.random.default_rng(BORDER_SEED).standard_normal((self.n, max(k, 1)))
-        rows, cols = _peaks(lu.solve(R, trans="T")), _peaks(lu.solve(R))
-        if not any(self._border(A, rows[:k], cols[:k]) for k in range(len(rows), 0, -1)):
-            raise ModelError("the bordered LU of a singular block did not factor")
-
-    def _border(self, A: scipy.sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> bool:
-        """Keep the LU of M, bordered at `rows` and `cols`, with T's pseudo-inverse
-        and A's null bases if it has no pivot below PIVOT_RTOL; else False."""
-        n, k, A = self.n, len(rows), A.tocoo()
-        M = scipy.sparse.csc_matrix((np.r_[A.data, np.ones(2 * k)], (
-            np.r_[A.row, rows, n:n + k], np.r_[A.col, n:n + k, cols])), shape=(n + k, n + k))
+        matched = np.zeros(n, dtype=bool)
+        matched[match[match >= 0]] = True
+        rows, cols = np.flatnonzero(match < 0), np.flatnonzero(~matched)
+        M = _bordered(A, rows, cols)
         lu, tiny = _lu(M)
         if lu is None or tiny > 0:
-            return False
+            if lu is None:                           # a zero pivot: a shift exposes it
+                lu, tiny = _lu(M + PIVOT_SHIFT * scipy.sparse.eye(M.shape[0], format="csc"))
+            if lu is not None:
+                R = np.random.default_rng(BORDER_SEED).standard_normal((M.shape[0], max(tiny, 1)))
+                rows = np.r_[rows, _peaks(lu.solve(R, trans="T")[:n], rows)]
+                cols = np.r_[cols, _peaks(lu.solve(R)[:n], cols)]
+                M = _bordered(A, rows, cols)
+                lu, tiny = _lu(M)
+            if lu is None or tiny > 0:
+                raise ModelError("the bordered LU of a singular block did not factor")
         self._lu, self._M = lu, M
-        E = np.eye(n + k, k, -n)
-        X, Y = self._refined(E), self._refined(E, trans="T")
-        W, s, Zt = np.linalg.svd(X[n:])
-        null = s <= PIVOT_RTOL
-        self._Q = X[:n]
-        self._T_pinv = (Zt[~null].T / s[~null]) @ W[:, ~null].T
-        if null.any():
-            self.null_right = np.linalg.qr(X[:n] @ Zt[null].T)[0]
-            self.null_left = np.linalg.qr(Y[:n] @ W[:, null])[0]
-        return True
+        self.pseudo_inverse = rows.size > 0
+        self.null_right = self.null_left = np.zeros((n, 0))
+        if self.pseudo_inverse:
+            E = np.eye(n + rows.size, rows.size, -n)
+            X, Y = self._refined(E), self._refined(E, trans="T")
+            W, s, Zt = np.linalg.svd(X[n:])
+            null = s <= PIVOT_RTOL
+            self._Q = X[:n]
+            self._T_pinv = (Zt[~null].T / s[~null]) @ W[:, ~null].T
+            if null.any():
+                self.null_right = np.linalg.qr(X[:n] @ Zt[null].T)[0]
+                self.null_left = np.linalg.qr(Y[:n] @ W[:, null])[0]
+        self.rank = n - self.null_right.shape[1]
+        u = np.abs(lu.U.diagonal())
+        self.condition_estimate = float(u.max() / u.min())
 
     def _refined(self, R: np.ndarray, trans: str = "N") -> np.ndarray:
         """LU solve with the factored matrix (or its transpose), plus one

@@ -173,6 +173,15 @@ def deflection_var(node):
     return ("t", node)
 
 
+def row_meta(system) -> list:
+    """(source, kind) of every row of an assembled system, from its block layout."""
+    meta: list = [None] * system.matrix.shape[0]
+    for sources, base, kinds in system._rows:
+        for source, first in zip(sources, base.tolist()):
+            meta[first:first + len(kinds)] = [(source, kind) for kind in kinds]
+    return meta
+
+
 def record_entries(block):
     """(row, variable, sub-block) of every record's entries, rows counted
     from the block's first record: a plain loop over the family."""

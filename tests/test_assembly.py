@@ -11,8 +11,8 @@ from msakit import assembly
 from msakit.core import block_rotation
 
 from helpers import (beam_link, cantilever, deflection_var, dense_audit, entries_dense, first_fault,
-                     flexible_platform_model, free_link_end, random_chain, rel_fro, section_kwargs,
-                     sprung_model, wrench_var)
+                     flexible_platform_model, free_link_end, random_chain, rel_fro, row_meta,
+                     section_kwargs, sprung_model, wrench_var)
 
 RZ = msakit.joint_basis_preset("revolute_z")
 
@@ -90,6 +90,23 @@ def coaxial_pin_chain(redundant):
         m.add_beam("e", "f", **section_kwargs())
     m.add_support("a", "rigid")
     m.set_end_effector("f")
+    return m
+
+
+def rigid_four_bar():
+    """Three rigid links pinned about z to each other and to the ground: a
+    planar four-bar whose pins leave one mechanism and three out-of-plane
+    states of self-stress."""
+    m = msakit.Model()
+    for node, x, y in (("p0", 0, 0), ("p1", 0, 0.5), ("q1", 0, 0.5), ("q2", 1, 0.5),
+                       ("r2", 1, 0.5), ("r3", 1, 0)):
+        m.add_node(node, [x, y, 0])
+    for i, j in (("p0", "p1"), ("q1", "q2"), ("r2", "r3")):
+        m.add_rigid_link(i, j)
+    for node in ("p0", "r3"):
+        m.add_support(node, "passive", basis=RZ)
+    m.add_joint("passive", ("p1", "q1"), basis=RZ)
+    m.add_joint("passive", ("q2", "r2"), basis=RZ)
     return m
 
 
@@ -694,6 +711,11 @@ class TestCheckModel:
         assert not report.square
         assert report.redundant == 12
 
+    def test_rigid_four_bar_has_one_mechanism_and_three_self_stresses(self):
+        report = rigid_four_bar().check()
+        assert (report.rows, report.unknowns, report.rank) == (72, 72, 68)
+        assert (report.mechanisms, report.self_stress) == (1, 3)
+
     def test_pendulum_mechanism_names_its_nodes(self):
         report = pendulum_chain(1).check()
         assert report.mechanisms == 1
@@ -726,12 +748,27 @@ SINGULAR_MODELS = {
     "unsupported beam (rows < unknowns)": free_beam,
     "free link end (rows < unknowns)": free_link_end,
     "free pendulum, no end effector": lambda: pendulum_chain(1, end_effector=False),
+    "rigid four-bar": rigid_four_bar,
 }
 
+# Blocks singular in their numbers beyond their pattern, so the matched
+# borders alone leave their LU singular. On a generic axis the rotated pin
+# bases fill entries that were exact zeros, and the structural rank of the
+# internal block exceeds its numerical rank; the duplicated joint's matching
+# leaves the wrong one of two equal rows unmatched, on any axis.
+GENERIC_AXIS = msakit.rotation_matrix([1, 2, 3], 0.7)
+GENERIC_AXIS_MODELS = {
+    "generic-axis redundant coaxial pins":
+        lambda: msakit.rotated_model(coaxial_pin_chain(True), GENERIC_AXIS),
+    "generic-axis rigid four-bar": lambda: msakit.rotated_model(rigid_four_bar(), GENERIC_AXIS),
+    "generic-axis duplicated joint": lambda: msakit.rotated_model(duplicated_joint(), GENERIC_AXIS),
+}
+BORDERED_MODELS = {**SINGULAR_MODELS, **GENERIC_AXIS_MODELS}
 
-@pytest.mark.parametrize("name", SINGULAR_MODELS)
+
+@pytest.mark.parametrize("name", BORDERED_MODELS)
 def test_bordered_solve_matches_dense_svd_oracle(name):
-    model = SINGULAR_MODELS[name]()
+    model = BORDERED_MODELS[name]()
     oracle = dense_audit(model)
     report = model.check()
     assert (report.rank, report.redundant, report.mechanisms, report.self_stress) == (
@@ -748,11 +785,11 @@ def test_bordered_solve_matches_dense_svd_oracle(name):
         assert rel_fro(result.kc, oracle["kc"]) <= 1e-8
 
 
-@pytest.mark.parametrize("name", SINGULAR_MODELS)
+@pytest.mark.parametrize("name", BORDERED_MODELS)
 def test_bordered_blocks_have_unit_borders(name, factorizations):
     """Each border row and column of M = [A U; V^T 0] has one entry, equal
     to 1, so M keeps A's sparsity."""
-    SINGULAR_MODELS[name]().check()
+    BORDERED_MODELS[name]().check()
     assert [fac.pseudo_inverse for fac in factorizations] == [True]
     fac = factorizations[0]
     n, M = fac.n, fac._M.toarray()
@@ -785,10 +822,22 @@ def test_singular_blocks_take_one_lu_bordered_by_their_nullity(name, factorizati
     borders = fac._M.shape[0] - fac.n
     if name == "duplicated joint (non-square)":
         # The matching leaves the wrong one of two equal rows unmatched, so
-        # the matched borders leave M singular and the fallback borders it.
+        # the matched borders leave M singular and more borders grow on it.
         assert len(calls) > 1 and borders >= nullity
     else:
         assert len(calls) == 1 and borders == nullity
+
+
+@pytest.mark.parametrize("name", BORDERED_MODELS)
+def test_borders_grow_on_the_matched_block(name, monkeypatch):
+    """Every LU factors the block bordered at its unmatched rows and columns,
+    or that block bordered further: none restarts from a smaller matrix, and
+    at most a failed LU, the shifted one that locates its trouble and the
+    final one run."""
+    lu, calls = assembly._lu, []
+    monkeypatch.setattr(assembly, "_lu", lambda M: calls.append(M.shape[0]) or lu(M))
+    BORDERED_MODELS[name]().check()
+    assert min(calls) == calls[0] and len(calls) <= 3, calls
 
 
 @pytest.mark.parametrize("name", [*SINGULAR_MODELS, "pinned beam"])
@@ -924,7 +973,8 @@ def test_aggregation_matches_dense_oracle(name):
     np.testing.assert_array_equal(system.matrix.toarray(), placed)
     assert system.matrix.nnz == np.count_nonzero(dense)
     np.testing.assert_array_equal(system.rhs[rows], np.concatenate([b.rhs.ravel() for b in blocks]))
-    assert [system.row_meta[r] for r in rows] == [
+    meta = row_meta(system)
+    assert [meta[r] for r in rows] == [
         (source, kind) for b in blocks for source in b.sources for kind in b.row_kinds()]
 
 
@@ -947,6 +997,7 @@ def test_emitted_blocks_are_well_formed(name):
     system = assembly._build_system(model, blocks)
     first = _first_rows(blocks)
     catalogue = _catalogue_sources(model)
+    meta = row_meta(system)
     for block in blocks:
         m = len(block.nodes)
         assert m >= 1 and len(block.sources) == len(block.index) == m, block.sources
@@ -969,11 +1020,11 @@ def test_emitted_blocks_are_well_formed(name):
         for source, g in zip(block.sources, block.index.tolist()):
             assert source == catalogue[g]
             row = first[g]
-            assert system.row_meta[row:row + block.rows] == [(source, k) for k in kinds]
+            assert meta[row:row + block.rows] == [(source, k) for k in kinds]
         if block.category == "load":
             for node, g in zip(block.load_nodes, block.index.tolist()):
                 np.testing.assert_array_equal(system.load_rows[node], first[g] + np.arange(6))
-    assert sum(len(b.nodes) * b.rows for b in blocks) == len(system.row_meta)
+    assert sum(len(b.nodes) * b.rows for b in blocks) == len(meta)
 
 
 @pytest.mark.parametrize("name", [*AGGREGATION_MODELS, *SINGULAR_MODELS])
@@ -981,8 +1032,9 @@ def test_row_accounting_matches_a_count_over_rows(name):
     """Row counts from the block layout equal counts over every row's
     (source, kind), in the order of each source's first row."""
     system = assembly._system({**AGGREGATION_MODELS, **SINGULAR_MODELS}[name]())
-    by_source = collections.Counter(source for source, _ in system.row_meta)
-    by_kind = collections.Counter(kind for _, kind in system.row_meta)
+    meta = row_meta(system)
+    by_source = collections.Counter(source for source, _ in meta)
+    by_kind = collections.Counter(kind for _, kind in meta)
     assert list(system.rows_by_source().items()) == list(by_source.items())
     assert system.block_row_counts() == {
         kind: by_kind[kind] for kind in ("link", "compat", "wrench", "mixed", "load")}
