@@ -1,10 +1,11 @@
 """Declarative model documents: JSON parsing and serialization.
 
 Documents use SI units throughout and row-major nested lists for matrices.
-Node ids are strings. The reader checks structure and types only, and a
-structural error carries the path of the offending field; the builder checks
-everything else once, as `ModelDocument.to_model` builds the model, and its
-error carries the path of the entry, such as `$.joints[2]`.
+Node ids are strings. The table `_SCHEMA` gives each entry type's fields and
+builder call: the reader takes exactly those fields and checks their structure
+and types, with the path of the offending field in its error; the builder
+checks everything else once, as `ModelDocument.to_model` builds the model, and
+its error carries the path of the entry, such as `$.joints[2]`.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ import numpy as np
 from .core import joint_basis_preset, make_joint_basis
 from .errors import FormatError, ModelError
 from .model import Model
-
-_LINK_TYPES = ("beam", "flexible", "rigid")
 
 
 @dataclass
@@ -47,49 +46,13 @@ class ModelDocument:
         m = Model()
         path = "$"
         try:
-            for k, entry in enumerate(self.nodes):
-                path = f"$.nodes[{k}]"
-                m.add_node(entry["id"], entry["position"])
-            for k, entry in enumerate(self.links):
-                path = f"$.links[{k}]"
-                kind = entry["type"]
-                i, j = entry["nodes"]
-                if kind == "beam":
-                    m.add_beam(i, j, **entry["section"])
-                elif kind == "flexible":
-                    m.add_flexible_link(i, j, np.array(entry["stiffness"]))
-                else:
-                    m.add_rigid_link(i, j)
-            for k, entry in enumerate(self.platforms):
-                path = f"$.platforms[{k}]"
-                if entry["type"] == "rigid":
-                    m.add_rigid_platform(entry["clamps"], entry["end"])
-                elif len(set(entry["clamps"])) != len(entry["clamps"]):
-                    raise ModelError("duplicate clamp node ids on flexible platform")
-                else:
-                    stiff = {c: np.array(K) for c, K in zip(entry["clamps"], entry["stiffness"])}
-                    m.add_flexible_platform(stiff, entry["end"])
-            for k, entry in enumerate(self.joints):
-                path = f"$.joints[{k}]"
-                if entry["type"] == "junction":
-                    passive = [(p["node"], _basis_object(p["basis"]))
-                               for p in entry["passive_nodes"]]
-                    m.add_junction(entry["rigid_nodes"], passive)
-                    continue
-                basis = _basis_object(entry["basis"]) if entry.get("basis") else None
-                stiffness = np.array(entry["stiffness"]) if entry.get("stiffness") else None
-                m.add_joint(entry["type"], entry["nodes"], basis=basis, stiffness=stiffness,
-                            preload=entry.get("preload"), idealization=entry.get("idealization"))
-            for k, entry in enumerate(self.supports):
-                path = f"$.supports[{k}]"
-                basis = _basis_object(entry["basis"]) if entry.get("basis") else None
-                stiffness = np.array(entry["stiffness"]) if entry.get("stiffness") else None
-                m.add_support(entry["node"], entry["type"], basis=basis,
-                              stiffness=stiffness, preload=entry.get("preload"))
-            for k, entry in enumerate(self.loads):
-                path = f"$.loads[{k}]"
-                if entry["node"] != self.end_effector:
-                    m.add_load_point(entry["node"])
+            for name, types in _SCHEMA.items():
+                entries = list(enumerate(getattr(self, name)))
+                if name == "loads":     # the end effector's load point is the last one
+                    entries.sort(key=lambda ke: ke[1]["node"] == self.end_effector)
+                for k, entry in entries:
+                    path = f"$.{name}[{k}]"
+                    _row(types, entry.get("type"))[0](m, entry)
             path = "$.end_effector"
             m.set_end_effector(self.end_effector)
         except ValueError as exc:
@@ -121,13 +84,15 @@ class _Reader:
     def fail(self, message: str):
         raise FormatError(self.path, message)
 
-    def require_keys(self, allowed, required):
+    def require_keys(self, required, allowed=None):
+        """An object with every `required` field and, unless `allowed` is
+        None, no field outside `allowed`."""
         if not isinstance(self.data, dict):
             self.fail(f"expected an object, got {type(self.data).__name__}")
         for key in required:
             if key not in self.data:
                 self.fail(f"missing required field {key!r}")
-        for key in self.data:
+        for key in self.data if allowed is not None else ():
             if key not in allowed:
                 self.fail(f"unknown field {key!r}")
 
@@ -175,23 +140,109 @@ class _Reader:
         return out
 
 
-def _parse_basis(reader: _Reader):
+def _fields(r: _Reader, required: dict, optional: dict) -> dict:
+    """Object `r` read field by field: every `required` field and any `optional`
+    one, each dict mapping a field to its reader; no other field is allowed."""
+    readers = {**required, **optional}
+    r.require_keys(required, allowed=readers)
+    return {key: read(r.child(key)) for key, read in readers.items() if key in r.data}
+
+
+def _ids(r: _Reader) -> list:
+    return [n.string() for n in r.items()]
+
+
+def _pair(r: _Reader) -> list:
+    if not isinstance(r.data, list) or len(r.data) != 2:
+        r.fail("expected a pair of node ids")
+    return _ids(r)
+
+
+def _basis(r: _Reader):
     """A preset name, or the rows of an explicit basis."""
-    if isinstance(reader.data, str):
-        return reader.string()
-    reader.require_keys(allowed=("rigid", "free"), required=("rigid", "free"))
-    return {key: [r.vector(6) for r in reader.child(key).items()] for key in ("rigid", "free")}
+    if isinstance(r.data, str):
+        return r.data
+    return _fields(r, dict.fromkeys(("rigid", "free"),
+                                    lambda rows: [v.vector(6) for v in rows.items()]), {})
 
 
-def _read_spring(r: _Reader, entry: dict) -> dict:
-    """`entry` with the basis, spring matrix and preload of a joint or
-    support, where the document gives them."""
-    if "basis" in r.data:
-        entry["basis"] = _parse_basis(r.child("basis"))
-    if "stiffness" in r.data:
-        entry["stiffness"] = r.child("stiffness").matrix()
-    if "preload" in r.data:
-        entry["preload"] = r.child("preload").vector(6)
+_SECTION = dict.fromkeys(("E", "G", "A", "Iy", "Iz", "J"), _Reader.number)
+_SPRING = {"basis": _basis, "stiffness": _Reader.matrix, "preload": lambda r: r.vector(6)}
+_PASSIVE_NODE = {"node": _Reader.string, "basis": _basis}
+_LINK = {"type": _Reader.string, "nodes": _pair}
+_PLATFORM = {"type": _Reader.string, "clamps": _ids, "end": _Reader.string}
+
+
+def _spring(entry: dict) -> dict:
+    """The basis, spring matrix and preload keywords of a joint or support."""
+    return {"basis": _basis_object(entry["basis"]) if "basis" in entry else None,
+            "stiffness": entry.get("stiffness"), "preload": entry.get("preload")}
+
+
+def _add_flexible_platform(m: Model, entry: dict) -> None:
+    # A {clamp: matrix} mapping would drop a repeated clamp.
+    stiffness = dict(zip(entry["clamps"], entry["stiffness"]))
+    if len(stiffness) != len(entry["clamps"]):
+        raise ModelError("duplicate clamp node ids on flexible platform")
+    m.add_flexible_platform(stiffness, entry["end"])
+
+
+# Each list of a document: its entry types by `type` (None: any type, which the
+# builder judges) as (builder call, required fields, optional fields), each
+# field with its reader. A list with a named type dispatches on `type`.
+_SCHEMA = {
+    "nodes": {None: (lambda m, e: m.add_node(e["id"], e["position"]),
+                     {"id": _Reader.string, "position": lambda r: r.vector(3)}, {})},
+    "links": {
+        "beam": (lambda m, e: m.add_beam(*e["nodes"], **e["section"]),
+                 {**_LINK, "section": lambda r: _fields(r, _SECTION, {})}, {}),
+        "flexible": (lambda m, e: m.add_flexible_link(*e["nodes"], e["stiffness"]),
+                     {**_LINK, "stiffness": lambda r: r.matrix(12, 12)}, {}),
+        "rigid": (lambda m, e: m.add_rigid_link(*e["nodes"]), _LINK, {}),
+    },
+    "platforms": {
+        "rigid": (lambda m, e: m.add_rigid_platform(e["clamps"], e["end"]), _PLATFORM, {}),
+        "flexible": (_add_flexible_platform, {
+            **_PLATFORM, "stiffness": lambda r: [k.matrix(12, 12) for k in r.items()]}, {}),
+    },
+    "joints": {
+        "junction": (lambda m, e: m.add_junction(e["rigid_nodes"], [
+                         (p["node"], _basis_object(p["basis"]))
+                         for p in e.get("passive_nodes", ())]),
+                     {"type": _Reader.string, "rigid_nodes": _ids},
+                     {"passive_nodes": lambda r: [_fields(p, _PASSIVE_NODE, {})
+                                                  for p in r.items()]}),
+        None: (lambda m, e: m.add_joint(e["type"], e["nodes"], **_spring(e),
+                                        idealization=e.get("idealization")),
+               {"type": _Reader.string, "nodes": _ids},
+               {**_SPRING, "idealization": _Reader.string}),
+    },
+    "supports": {None: (lambda m, e: m.add_support(e["node"], e["type"], **_spring(e)),
+                        {"node": _Reader.string, "type": _Reader.string}, _SPRING)},
+    "loads": {None: (lambda m, e: m.add_load_point(e["node"]),
+                     {"node": _Reader.string, "wrench": lambda r: r.vector(6)}, {})},
+}
+
+
+def _row(types: dict, kind):
+    """The table row of entry type `kind`: its own, else the one for any type."""
+    return types.get(kind, types.get(None))
+
+
+def _entry(r: _Reader, name: str) -> dict:
+    """One entry of list `name`, read by the table row of its type."""
+    types = _SCHEMA[name]
+    kind = None
+    if any(types):
+        r.require_keys(("type",))
+        kind = r.child("type").string()
+    row = _row(types, kind)
+    if row is None:
+        r.child("type").fail(f"unknown {name[:-1]} type {kind!r}")
+    entry = _fields(r, row[1], row[2])
+    if (name, kind) == ("platforms", "flexible") and (
+            len(entry["stiffness"]) != len(entry["clamps"])):
+        r.child("stiffness").fail("need exactly one matrix per clamp")
     return entry
 
 
@@ -204,95 +255,9 @@ def parse_model(text: str) -> ModelDocument:
     except json.JSONDecodeError as exc:
         raise FormatError("$", f"invalid JSON: {exc}") from exc
     root = _Reader(data)
-    root.require_keys(
-        allowed=("nodes", "links", "platforms", "joints", "supports", "loads", "end_effector"),
-        required=("nodes", "end_effector"),
-    )
-    doc = ModelDocument()
-    for r in root.child("nodes").items():
-        r.require_keys(allowed=("id", "position"), required=("id", "position"))
-        doc.nodes.append({"id": r.child("id").string(),
-                          "position": r.child("position").vector(3)})
-
-    if "links" in data:
-        for r in root.child("links").items():
-            r.require_keys(allowed=("type", "nodes", "section", "stiffness"),
-                           required=("type", "nodes"))
-            kind = r.child("type").string()
-            if kind not in _LINK_TYPES:
-                r.child("type").fail(f"unknown link type {kind!r}")
-            nr = r.child("nodes")
-            if not isinstance(nr.data, list) or len(nr.data) != 2:
-                nr.fail("expected a pair of node ids")
-            entry = {"type": kind, "nodes": [n.string() for n in nr.items()]}
-            if kind == "beam":
-                sr = r.child("section")
-                sr.require_keys(allowed=("E", "G", "A", "Iy", "Iz", "J"),
-                                required=("E", "G", "A", "Iy", "Iz", "J"))
-                entry["section"] = {k: sr.child(k).number() for k in ("E", "G", "A", "Iy", "Iz", "J")}
-            elif kind == "flexible":
-                if "stiffness" not in r.data:
-                    r.fail("flexible link needs a 12x12 stiffness matrix")
-                entry["stiffness"] = r.child("stiffness").matrix(12, 12)
-            doc.links.append(entry)
-
-    if "platforms" in data:
-        for r in root.child("platforms").items():
-            r.require_keys(allowed=("type", "clamps", "end", "stiffness"),
-                           required=("type", "clamps", "end"))
-            kind = r.child("type").string()
-            if kind not in ("rigid", "flexible"):
-                r.child("type").fail(f"unknown platform type {kind!r}")
-            clamps = [c.string() for c in r.child("clamps").items()]
-            entry = {"type": kind, "clamps": clamps, "end": r.child("end").string()}
-            if kind == "flexible":
-                if "stiffness" not in r.data:
-                    r.fail("flexible platform needs one 12x12 matrix per clamp")
-                mats = [m.matrix(12, 12) for m in r.child("stiffness").items()]
-                if len(mats) != len(clamps):
-                    r.child("stiffness").fail("need exactly one matrix per clamp")
-                entry["stiffness"] = mats
-            doc.platforms.append(entry)
-
-    if "joints" in data:
-        for r in root.child("joints").items():
-            if not isinstance(r.data, dict) or "type" not in r.data:
-                r.fail("joint entry needs a type")
-            kind = r.child("type").string()
-            if kind == "junction":
-                r.require_keys(allowed=("type", "rigid_nodes", "passive_nodes"),
-                               required=("type", "rigid_nodes"))
-                rigid = [n.string() for n in r.child("rigid_nodes").items()]
-                passive = []
-                if "passive_nodes" in r.data:
-                    for p in r.child("passive_nodes").items():
-                        p.require_keys(allowed=("node", "basis"), required=("node", "basis"))
-                        passive.append({"node": p.child("node").string(),
-                                        "basis": _parse_basis(p.child("basis"))})
-                doc.joints.append({"type": kind, "rigid_nodes": rigid, "passive_nodes": passive})
-                continue
-            r.require_keys(allowed=("type", "nodes", "basis", "stiffness", "preload",
-                                    "idealization"),
-                           required=("type", "nodes"))
-            nodes = [n.string() for n in r.child("nodes").items()]
-            entry = _read_spring(r, {"type": kind, "nodes": nodes})
-            if "idealization" in r.data:
-                entry["idealization"] = r.child("idealization").string()
-            doc.joints.append(entry)
-
-    if "supports" in data:
-        for r in root.child("supports").items():
-            r.require_keys(allowed=("node", "type", "basis", "stiffness", "preload"),
-                           required=("node", "type"))
-            doc.supports.append(_read_spring(
-                r, {"node": r.child("node").string(), "type": r.child("type").string()}))
-
-    if "loads" in data:
-        for r in root.child("loads").items():
-            r.require_keys(allowed=("node", "wrench"), required=("node", "wrench"))
-            doc.loads.append({"node": r.child("node").string(),
-                              "wrench": r.child("wrench").vector(6)})
-
+    root.require_keys(("nodes", "end_effector"), allowed=(*_SCHEMA, "end_effector"))
+    doc = ModelDocument(**{name: [_entry(r, name) for r in root.child(name).items()]
+                           for name in _SCHEMA if name in data})
     doc.end_effector = root.child("end_effector").string()
     return doc
 
@@ -352,7 +317,7 @@ def document_from_model(model: Model) -> ModelDocument:
 
 def _write_spring(entry: dict, basis, stiffness) -> dict:
     """`entry` with a joint's or support's basis, spring matrix and preload,
-    where it has them; the inverse of `_read_spring`."""
+    where it has them: the `_SPRING` fields of the table."""
     if basis is not None:
         entry["basis"] = _basis_dict(basis)
     if stiffness is not None:

@@ -205,6 +205,334 @@ def test_field_the_kind_ignores_is_rejected(name):
     assert err.value.path == f"$.{where}[0]"
 
 
+def full_doc() -> dict:
+    """A document with an entry of every type in every list, which builds."""
+    positions = {"a": 0, "b": 1, "c": 1, "d": 2, "e": 2, "f": 3, "g": 3, "h": 4, "k": 5}
+
+    def link_matrix(i, j):
+        return beam_link((positions[i], 0, 0), (positions[j], 0, 0)).K.tolist()
+    return {
+        "nodes": [{"id": n, "position": [float(x), 0.0, 0.0]} for n, x in positions.items()],
+        "links": [{"type": "beam", "nodes": ["a", "b"], "section": section_kwargs()},
+                  {"type": "flexible", "nodes": ["c", "d"], "stiffness": link_matrix("c", "d")},
+                  {"type": "rigid", "nodes": ["e", "f"]}],
+        "platforms": [{"type": "rigid", "clamps": ["g"], "end": "h"},
+                      {"type": "flexible", "clamps": ["h"], "end": "k",
+                       "stiffness": [link_matrix("h", "k")]}],
+        "joints": [{"type": "elastic", "nodes": ["b", "c"], "basis": "revolute_z",
+                    "stiffness": [[100.0]], "preload": [0, 0, 0, 0, 0, 1.0]},
+                   {"type": "junction", "rigid_nodes": ["d"],
+                    "passive_nodes": [{"node": "e", "basis": "revolute_z"}]},
+                   {"type": "actuated", "nodes": ["f", "g"], "basis": "revolute_z",
+                    "stiffness": [[1e3]], "idealization": "as-elastic"}],
+        "supports": [{"node": "a", "type": "elastic", "basis": "universal",
+                      "stiffness": [[10.0, 0.0], [0.0, 20.0]]}],
+        "loads": [{"node": "h", "wrench": [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]}],
+        "end_effector": "k",
+    }
+
+
+NAN, INF = float("nan"), float("inf")
+SECTION = section_kwargs()
+Z12 = [[0.0] * 12] * 12
+DROP = object()     # an edit value that removes its field
+
+# Malformed documents: (list, index, edit) of `full_doc` -> the (stage, path,
+# message) of the error it raises. The edit replaces the entry, or, as a
+# dict, sets its fields (at "$", the document's); the stage says whether
+# `parse_model` or `ModelDocument.to_model` raises it.
+MALFORMED = {
+    "root, not an object": ("$", None, [1],
+        ("parse", "$", "expected an object, got list")),
+    "root, missing nodes": ("$", None, {"nodes": DROP},
+        ("parse", "$", "missing required field 'nodes'")),
+    "root, missing end_effector": ("$", None, {"end_effector": DROP},
+        ("parse", "$", "missing required field 'end_effector'")),
+    "root, unknown field": ("$", None, {"extra": 1},
+        ("parse", "$", "unknown field 'extra'")),
+    "root, links not an array": ("$", None, {"links": {"type": "rigid"}},
+        ("parse", "$.links", "expected an array, got dict")),
+    "end_effector, wrong type": ("$", None, {"end_effector": 3},
+        ("parse", "$.end_effector", "expected a string")),
+    "end_effector, unknown node": ("$", None, {"end_effector": "zz"},
+        ("build", "$.end_effector", "unknown node id 'zz'")),
+    # nodes
+    "node, not an object": ("nodes", 0, 5,
+        ("parse", "$.nodes[0]", "expected an object, got int")),
+    "node, missing id": ("nodes", 0, {"id": DROP},
+        ("parse", "$.nodes[0]", "missing required field 'id'")),
+    "node, missing position": ("nodes", 0, {"position": DROP},
+        ("parse", "$.nodes[0]", "missing required field 'position'")),
+    "node, unknown field": ("nodes", 0, {"mass": 1.0},
+        ("parse", "$.nodes[0]", "unknown field 'mass'")),
+    "node, id wrong type": ("nodes", 0, {"id": 1},
+        ("parse", "$.nodes[0].id", "expected a string")),
+    "node, short position": ("nodes", 0, {"position": [0.0, 0.0]},
+        ("parse", "$.nodes[0].position", "expected a 3-vector")),
+    "node, nan position": ("nodes", 0, {"position": [0.0, NAN, 0.0]},
+        ("parse", "$.nodes[0].position[1]", "expected a finite number")),
+    "node, boolean position": ("nodes", 0, {"position": [0.0, True, 0.0]},
+        ("parse", "$.nodes[0].position[1]", "expected a number")),
+    "node, duplicate id": ("nodes", 2, {"id": "a"},
+        ("build", "$.nodes[2]", "node 'a' already declared")),
+    # links
+    "link, not an object": ("links", 0, "beam",
+        ("parse", "$.links[0]", "expected an object, got str")),
+    "link, missing type": ("links", 0, {"type": DROP},
+        ("parse", "$.links[0]", "missing required field 'type'")),
+    "link, missing nodes": ("links", 2, {"nodes": DROP},
+        ("parse", "$.links[2]", "missing required field 'nodes'")),
+    "link, unknown field": ("links", 2, {"length": 1.0},
+        ("parse", "$.links[2]", "unknown field 'length'")),
+    "link, type wrong type": ("links", 0, {"type": 1},
+        ("parse", "$.links[0].type", "expected a string")),
+    "link, unknown type": ("links", 0, {"type": "cable"},
+        ("parse", "$.links[0].type", "unknown link type 'cable'")),
+    "link, three nodes": ("links", 2, {"nodes": ["e", "f", "g"]},
+        ("parse", "$.links[2].nodes", "expected a pair of node ids")),
+    "link, nodes not an array": ("links", 2, {"nodes": "ef"},
+        ("parse", "$.links[2].nodes", "expected a pair of node ids")),
+    "link, node id wrong type": ("links", 2, {"nodes": ["e", 6]},
+        ("parse", "$.links[2].nodes[1]", "expected a string")),
+    "link, unknown node": ("links", 2, {"nodes": ["e", "zz"]},
+        ("build", "$.links[2]", "unknown node id 'zz'")),
+    "link, rigid on one node": ("links", 2, {"nodes": ["e", "e"]},
+        ("build", "$.links[2]", "rigid link end nodes must differ")),
+    "beam, missing section": ("links", 0, {"section": DROP},
+        ("parse", "$.links[0]", "missing required field 'section'")),
+    "beam, section not an object": ("links", 0, {"section": [1.0]},
+        ("parse", "$.links[0].section", "expected an object, got list")),
+    "beam, section missing field": ("links", 0,
+                                    {"section": {k: v for k, v in SECTION.items() if k != "J"}},
+        ("parse", "$.links[0].section", "missing required field 'J'")),
+    "beam, section unknown field": ("links", 0, {"section": {**SECTION, "rho": 7800.0}},
+        ("parse", "$.links[0].section", "unknown field 'rho'")),
+    "beam, boolean section": ("links", 0, {"section": {**SECTION, "E": True}},
+        ("parse", "$.links[0].section.E", "expected a number")),
+    "beam, infinite section": ("links", 0, {"section": {**SECTION, "A": INF}},
+        ("parse", "$.links[0].section.A", "expected a finite number")),
+    "beam, zero area": ("links", 0, {"section": {**SECTION, "A": 0.0}},
+        ("build", "$.links[0]", "beam section A must be positive, got 0.0")),
+    "flexible link, missing stiffness": ("links", 1, {"stiffness": DROP},
+        ("parse", "$.links[1]", "missing required field 'stiffness'")),
+    "flexible link, stiffness not a matrix": ("links", 1, {"stiffness": 1.0},
+        ("parse", "$.links[1].stiffness", "expected a matrix as nested arrays")),
+    "flexible link, 11 rows": ("links", 1, {"stiffness": Z12[:11]},
+        ("parse", "$.links[1].stiffness", "expected 12 matrix rows, got 11")),
+    "flexible link, ragged row": ("links", 1, {"stiffness": Z12[:3] + [[0.0] * 11] + Z12[4:]},
+        ("parse", "$.links[1].stiffness[3]", "expected a 12-vector")),
+    "flexible link, nan entry": ("links", 1, {"stiffness": [[NAN] + [0.0] * 11] + Z12[1:]},
+        ("parse", "$.links[1].stiffness[0][0]", "expected a finite number")),
+    # platforms
+    "platform, not an object": ("platforms", 0, None,
+        ("parse", "$.platforms[0]", "expected an object, got NoneType")),
+    "platform, missing type": ("platforms", 0, {"type": DROP},
+        ("parse", "$.platforms[0]", "missing required field 'type'")),
+    "platform, missing clamps": ("platforms", 0, {"clamps": DROP},
+        ("parse", "$.platforms[0]", "missing required field 'clamps'")),
+    "platform, missing end": ("platforms", 1, {"end": DROP},
+        ("parse", "$.platforms[1]", "missing required field 'end'")),
+    "platform, unknown field": ("platforms", 0, {"mass": 1.0},
+        ("parse", "$.platforms[0]", "unknown field 'mass'")),
+    "platform, unknown type": ("platforms", 0, {"type": "elastic"},
+        ("parse", "$.platforms[0].type", "unknown platform type 'elastic'")),
+    "platform, clamps not an array": ("platforms", 0, {"clamps": "g"},
+        ("parse", "$.platforms[0].clamps", "expected an array, got str")),
+    "platform, clamp id wrong type": ("platforms", 0, {"clamps": [7]},
+        ("parse", "$.platforms[0].clamps[0]", "expected a string")),
+    "platform, end wrong type": ("platforms", 0, {"end": ["h"]},
+        ("parse", "$.platforms[0].end", "expected a string")),
+    "platform, end among clamps": ("platforms", 0, {"end": "g"},
+        ("build", "$.platforms[0]", "platform end node cannot also be a clamp")),
+    "flexible platform, missing stiffness": ("platforms", 1, {"stiffness": DROP},
+        ("parse", "$.platforms[1]", "missing required field 'stiffness'")),
+    "flexible platform, stiffness not an array": ("platforms", 1, {"stiffness": {"h": []}},
+        ("parse", "$.platforms[1].stiffness", "expected an array, got dict")),
+    "flexible platform, two matrices for one clamp": ("platforms", 1, {"stiffness": [Z12, Z12]},
+        ("parse", "$.platforms[1].stiffness", "need exactly one matrix per clamp")),
+    "flexible platform, 2 rows": ("platforms", 1, {"stiffness": [[[1.0, 0.0], [0.0, 1.0]]]},
+        ("parse", "$.platforms[1].stiffness[0]", "expected 12 matrix rows, got 2")),
+    "flexible platform, repeated clamp": ("platforms", 1,
+                                          {"clamps": ["h", "h"], "stiffness": [Z12, Z12]},
+        ("build", "$.platforms[1]", "duplicate clamp node ids on flexible platform")),
+    # joints
+    "joint, not an object": ("joints", 0, 4,
+        ("parse", "$.joints[0]", "expected an object, got int")),
+    "joint, missing type": ("joints", 0, {"type": DROP},
+        ("parse", "$.joints[0]", "missing required field 'type'")),
+    "joint, type wrong type": ("joints", 0, {"type": ["elastic"]},
+        ("parse", "$.joints[0].type", "expected a string")),
+    "joint, missing nodes": ("joints", 0, {"nodes": DROP},
+        ("parse", "$.joints[0]", "missing required field 'nodes'")),
+    "joint, unknown field": ("joints", 0, {"damping": 1.0},
+        ("parse", "$.joints[0]", "unknown field 'damping'")),
+    "joint, unknown kind": ("joints", 0, {"type": "spherical"},
+        ("build", "$.joints[0]", "unknown joint kind 'spherical'")),
+    "joint, unknown node": ("joints", 0, {"nodes": ["b", "zz"]},
+        ("build", "$.joints[0]", "unknown node id 'zz'")),
+    "joint, basis wrong type": ("joints", 0, {"basis": 3},
+        ("parse", "$.joints[0].basis", "expected an object, got int")),
+    "joint, unknown preset": ("joints", 0, {"basis": "helical_z"},
+        ("build", "$.joints[0]", "unknown joint basis preset 'helical_z'; one of revolute_x, "
+         "revolute_y, revolute_z, prismatic_x, prismatic_y, prismatic_z, spherical, universal, "
+         "free")),
+    "joint, basis missing free": ("joints", 0, {"basis": {"rigid": [[1, 0, 0, 0, 0, 0]]}},
+        ("parse", "$.joints[0].basis", "missing required field 'free'")),
+    "joint, basis unknown field": ("joints", 0, {"basis": {"rigid": [], "free": [], "p": 1}},
+        ("parse", "$.joints[0].basis", "unknown field 'p'")),
+    "joint, short basis vector": ("joints", 0, {"basis": {"rigid": [[1, 0, 0, 0, 0]], "free": []}},
+        ("parse", "$.joints[0].basis.rigid[0]", "expected a 6-vector")),
+    "joint, basis rows not an array": ("joints", 0, {"basis": {"rigid": 1, "free": []}},
+        ("parse", "$.joints[0].basis.rigid", "expected an array, got int")),
+    "joint, ragged stiffness": ("joints", 0, {"stiffness": [[1.0, 0.0], [0.0]]},
+        ("parse", "$.joints[0].stiffness[1]", "expected a 2-vector")),
+    "joint, empty stiffness": ("joints", 0, {"stiffness": []},
+        ("parse", "$.joints[0].stiffness", "expected a matrix as nested arrays")),
+    "joint, stiffness row not an array": ("joints", 0, {"stiffness": [1.0]},
+        ("parse", "$.joints[0].stiffness[0]", "expected a matrix row")),
+    "joint, nan stiffness": ("joints", 0, {"stiffness": [[NAN]]},
+        ("parse", "$.joints[0].stiffness[0][0]", "expected a finite number")),
+    "joint, short preload": ("joints", 0, {"preload": [0.0] * 5},
+        ("parse", "$.joints[0].preload", "expected a 6-vector")),
+    "joint, boolean preload": ("joints", 0, {"preload": [False] + [0.0] * 5},
+        ("parse", "$.joints[0].preload[0]", "expected a number")),
+    "joint, idealization wrong type": ("joints", 2, {"idealization": 1},
+        ("parse", "$.joints[2].idealization", "expected a string")),
+    "joint, unknown idealization": ("joints", 2, {"idealization": "as-soft"},
+        ("build", "$.joints[2]",
+         "actuated joint needs an idealization, 'as-rigid' or 'as-elastic'; got 'as-soft'")),
+    "junction, missing rigid_nodes": ("joints", 1, {"rigid_nodes": DROP},
+        ("parse", "$.joints[1]", "missing required field 'rigid_nodes'")),
+    "junction, unknown field": ("joints", 1, {"nodes": ["d", "e"]},
+        ("parse", "$.joints[1]", "unknown field 'nodes'")),
+    "junction, rigid node wrong type": ("joints", 1, {"rigid_nodes": [None]},
+        ("parse", "$.joints[1].rigid_nodes[0]", "expected a string")),
+    "junction, passive node not an object": ("joints", 1, {"passive_nodes": ["e"]},
+        ("parse", "$.joints[1].passive_nodes[0]", "expected an object, got str")),
+    "junction, passive node missing basis": ("joints", 1, {"passive_nodes": [{"node": "e"}]},
+        ("parse", "$.joints[1].passive_nodes[0]", "missing required field 'basis'")),
+    "junction, passive node unknown field": ("joints", 1, {"passive_nodes": [
+        {"node": "e", "basis": "revolute_z", "stiffness": [[1.0]]}]},
+        ("parse", "$.joints[1].passive_nodes[0]", "unknown field 'stiffness'")),
+    "junction, passive node bad basis": ("joints", 1, {"passive_nodes": [
+        {"node": "e", "basis": {"rigid": [[1, 0, 0, 0, 0, 0]], "free": [[0, 0, 0, 0, 0, INF]]}}]},
+        ("parse", "$.joints[1].passive_nodes[0].basis.free[0][5]", "expected a finite number")),
+    # supports
+    "support, not an object": ("supports", 0, [1],
+        ("parse", "$.supports[0]", "expected an object, got list")),
+    "support, missing node": ("supports", 0, {"node": DROP},
+        ("parse", "$.supports[0]", "missing required field 'node'")),
+    "support, missing type": ("supports", 0, {"type": DROP},
+        ("parse", "$.supports[0]", "missing required field 'type'")),
+    "support, unknown field": ("supports", 0, {"idealization": "as-rigid"},
+        ("parse", "$.supports[0]", "unknown field 'idealization'")),
+    "support, node wrong type": ("supports", 0, {"node": 0},
+        ("parse", "$.supports[0].node", "expected a string")),
+    "support, type wrong type": ("supports", 0, {"type": None},
+        ("parse", "$.supports[0].type", "expected a string")),
+    "support, unknown kind": ("supports", 0, {"type": "actuated"},
+        ("build", "$.supports[0]", "unknown support kind 'actuated'")),
+    "support, unknown node": ("supports", 0, {"node": "zz"},
+        ("build", "$.supports[0]", "unknown node id 'zz'")),
+    "support, on a load point": ("supports", 0, {"node": "h"},
+        ("build", "$.loads[0]", "node 'h' is supported and cannot carry a load point")),
+    "support, bad basis": ("supports", 0, {"basis": ["universal"]},
+        ("parse", "$.supports[0].basis", "expected an object, got list")),
+    "support, short preload": ("supports", 0, {"preload": [0.0]},
+        ("parse", "$.supports[0].preload", "expected a 6-vector")),
+    "support, wrong stiffness size": ("supports", 0, {"stiffness": [[1.0]]},
+        ("build", "$.supports[0]", "support stiffness must be 2x2 for this basis, got (1, 1)")),
+    # loads
+    "load, not an object": ("loads", 0, "h",
+        ("parse", "$.loads[0]", "expected an object, got str")),
+    "load, missing node": ("loads", 0, {"node": DROP},
+        ("parse", "$.loads[0]", "missing required field 'node'")),
+    "load, missing wrench": ("loads", 0, {"wrench": DROP},
+        ("parse", "$.loads[0]", "missing required field 'wrench'")),
+    "load, unknown field": ("loads", 0, {"frame": "global"},
+        ("parse", "$.loads[0]", "unknown field 'frame'")),
+    "load, node wrong type": ("loads", 0, {"node": 1},
+        ("parse", "$.loads[0].node", "expected a string")),
+    "load, short wrench": ("loads", 0, {"wrench": [0.0] * 5},
+        ("parse", "$.loads[0].wrench", "expected a 6-vector")),
+    "load, infinite wrench": ("loads", 0, {"wrench": [0.0] * 5 + [-INF]},
+        ("parse", "$.loads[0].wrench[5]", "expected a finite number")),
+    "load, boolean wrench": ("loads", 0, {"wrench": [0.0] * 5 + [True]},
+        ("parse", "$.loads[0].wrench[5]", "expected a number")),
+    "load, unknown node": ("loads", 0, {"node": "zz"},
+        ("build", "$.loads[0]", "unknown node id 'zz'")),
+    "load, on a support": ("loads", 0, {"node": "a"},
+        ("build", "$.loads[0]", "node 'a' is supported and cannot carry a load point")),
+}
+
+
+def _edited(value, edit):
+    if not isinstance(edit, dict) or not isinstance(value, dict):
+        return edit
+    return {key: v for key, v in {**value, **edit}.items() if v is not DROP}
+
+
+def _failure(data) -> tuple | None:
+    try:
+        doc = msakit.parse_model(json.dumps(data))
+    except msakit.FormatError as exc:
+        return "parse", exc.path, exc.reason
+    try:
+        doc.to_model()
+    except msakit.FormatError as exc:
+        return "build", exc.path, exc.reason
+    return None
+
+
+def test_full_doc_builds():
+    assert _failure(full_doc()) is None
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_document_fails_at_its_path(name):
+    where, k, edit, expected = MALFORMED[name]
+    data = full_doc()
+    if where == "$":
+        data = _edited(data, edit)
+    else:
+        data[where][k] = _edited(data[where][k], edit)
+    assert _failure(data) == expected
+
+
+# Links and platforms that carry a field their type does not take. No builder
+# call takes such an argument, so the reader alone rejects them.
+@pytest.mark.parametrize("where, k, field, value", [
+    ("links", 0, "stiffness", [[1, 2], [3]]),
+    ("links", 2, "stiffness", Z12),
+    ("links", 1, "section", SECTION),
+    ("links", 2, "section", SECTION),
+    ("platforms", 0, "stiffness", "garbage"),
+], ids=["beam, stiffness", "rigid link, stiffness", "flexible link, section",
+        "rigid link, section", "rigid platform, stiffness"])
+def test_field_the_link_or_platform_type_ignores_is_rejected(where, k, field, value):
+    data = full_doc()
+    data[where][k][field] = value
+    assert _failure(data) == ("parse", f"$.{where}[{k}]", f"unknown field {field!r}")
+
+
+@pytest.mark.parametrize("node", ["h", "k"], ids=["load point", "end effector"])
+def test_repeated_load_entry_is_rejected_at_the_second(node):
+    # The end effector k is a load point with no entry, so it takes two to repeat.
+    data = full_doc()
+    data["loads"] += [{"node": node, "wrench": [0.0] * 6}] * (2 if node == "k" else 1)
+    index = len(data["loads"]) - 1
+    assert _failure(data) == ("build", f"$.loads[{index}]",
+                              f"node {node!r} already is a load point")
+
+
+def test_end_effector_load_point_stays_last():
+    # A load entry on the end effector does not move its load point: assembled
+    # systems do not depend on where the document lists it.
+    data = full_doc()
+    data["loads"].insert(0, {"node": "k", "wrench": [0.0, 2.0, 0.0, 0.0, 0.0, 0.0]})
+    assert msakit.parse_model(json.dumps(data)).to_model().load_points == ("h", "k")
+
+
 class TestRoundTrip:
     def test_document_round_trip_is_identity(self):
         doc = msakit.parse_model(json.dumps(cantilever_doc(load=[0, 1, 0, 0, 0, 0])))
@@ -303,6 +631,15 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "format"
         assert "end_effector" in record["path"]
+
+    def test_analyze_beam_without_section_is_one_error_record(self, tmp_path, capsys):
+        data = cantilever_doc()
+        del data["links"][0]["section"]
+        assert main(["analyze", self._write(tmp_path, data)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert (record["error"], record["path"]) == ("format", "$.links[0]")
 
     def test_check_well_posed(self, tmp_path, capsys):
         path = self._write(tmp_path, cantilever_doc())
